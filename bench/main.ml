@@ -38,13 +38,10 @@
                            (Flow.run on the "-paper" profile variants)
      CSS_BENCH_PAPER_DESIGNS comma-separated designs for the paper-scale
                            section (default sb18-paper)
-     CSS_BENCH_SKIP_BECHAMEL   if set, skip the micro-benchmarks
-     CSS_BENCH_REQUIRE_CACHE   if set, fail (exit 1) when any engine's
-                               warm macromodel-cache hit ratio is 0 *)
+     CSS_BENCH_SKIP_BECHAMEL   if set, skip the micro-benchmarks *)
 
 module Design = Css_netlist.Design
 module Timer = Css_sta.Timer
-module Macromodel = Css_cache.Macromodel
 module Vertex = Css_seqgraph.Vertex
 module Extract = Css_seqgraph.Extract
 module Scheduler = Css_core.Scheduler
@@ -379,47 +376,6 @@ let time_extraction ?pool p engine =
   done;
   (Css_util.Wall_clock.now () -. t0) *. 1000.0
 
-(* Cold-vs-warm extraction through the macromodel cache: a first
-   extraction populates a fresh cache, a few FF latencies move (latency
-   edits never invalidate — only delay/topology changes do), then a
-   second extraction over the same timer replays cone interfaces from
-   the cache. Returns (cold_ms, warm_ms, hit_ratio) where the ratio is
-   hits/(hits+misses) over the warm run only. *)
-let cache_cold_warm p engine =
-  let design = Generator.generate p in
-  let timer = Timer.build design in
-  let verts = Vertex.of_design design in
-  let cache = Macromodel.create () in
-  let run_once () =
-    let t0 = Css_util.Wall_clock.now () in
-    let eng = Extract.run ~cache ~engine timer verts ~corner:Timer.Late in
-    let continue_ = ref true in
-    while !continue_ do
-      let before = Css_seqgraph.Seq_graph.num_edges (Extract.graph eng) in
-      let n = Extract.round eng in
-      if n = 0 || Css_seqgraph.Seq_graph.num_edges (Extract.graph eng) = before then
-        continue_ := false
-    done;
-    (Css_util.Wall_clock.now () -. t0) *. 1000.0
-  in
-  let cold_ms = run_once () in
-  let ffs = Design.ffs design in
-  let n = min 4 (Array.length ffs) in
-  for i = 0 to n - 1 do
-    Design.set_scheduled_latency design ffs.(i)
-      (Design.scheduled_latency design ffs.(i) +. 0.05)
-  done;
-  Timer.update_latencies timer (Array.to_list (Array.sub ffs 0 n));
-  let h0 = Macromodel.hits cache + Macromodel.rehash_hits cache in
-  let m0 = Macromodel.misses cache in
-  let warm_ms = run_once () in
-  let hits = Macromodel.hits cache + Macromodel.rehash_hits cache - h0 in
-  let misses = Macromodel.misses cache - m0 in
-  let ratio =
-    if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
-  in
-  (cold_ms, warm_ms, ratio)
-
 (* One CSS-only run (late corner) of one extraction engine on a fresh
    copy of [p], instrumented with an Obs context. Returns the scheduler
    result, the engine's extraction statistics, wall-clock milliseconds,
@@ -556,13 +512,6 @@ let bench_json () =
               | None -> extract_seq_ms
             in
             let extract_speedup = extract_seq_ms /. Float.max extract_par_ms 1e-9 in
-            let cache_cold_ms, cache_warm_ms, cache_hit_ratio = cache_cold_warm p variant in
-            if Sys.getenv_opt "CSS_BENCH_REQUIRE_CACHE" <> None && cache_hit_ratio <= 0.0 then begin
-              Printf.eprintf
-                "bench: macromodel cache hit ratio is 0 on %s/%s (CSS_BENCH_REQUIRE_CACHE)\n"
-                p.Profile.name engine_name;
-              exit 1
-            end;
             Table.add_row t
               [
                 p.Profile.name;
@@ -610,9 +559,6 @@ let bench_json () =
                 ("extract_seq_ms", J.Float extract_seq_ms);
                 ("extract_par_ms", J.Float extract_par_ms);
                 ("extract_speedup", J.Float extract_speedup);
-                ("cache_cold_ms", J.Float cache_cold_ms);
-                ("cache_warm_ms", J.Float cache_warm_ms);
-                ("cache_hit_ratio", J.Float cache_hit_ratio);
                 ("per_iter", per_iter);
                 ("counters", J.Obj (List.map (fun (n, v) -> (n, J.Int v)) (Obs.counters obs)));
                 histograms_field obs;

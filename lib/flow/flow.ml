@@ -60,7 +60,6 @@ type config = Session.config = {
   tracer : Css_util.Tracer.t;
   jobs : int;
   budget : Css_util.Budget.limits;
-  cache_bytes : int;
   checkpoint_dir : string option;
   handle_signals : bool;
   debug_interrupt_after_phase : int option;

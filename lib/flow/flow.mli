@@ -180,10 +180,6 @@ type config = Session.config = {
       (** wall-clock / RSS budget driving the degradation ladder and the
           hard stop (default {!Css_util.Budget.no_limits} = no budget,
           zero polling overhead) *)
-  cache_bytes : int;
-      (** byte budget for the cone macromodel cache (default 64 MiB;
-          [0] disables it). Bitwise-neutral: only extraction wall time
-          changes. See [docs/PERFORMANCE.md]. *)
   checkpoint_dir : string option;
       (** write a durable {!Persist} checkpoint here after every
           completed phase; {!resume} continues from it

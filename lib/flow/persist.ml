@@ -96,8 +96,6 @@ type state = {
   ps_best : best option;
   ps_design_text : string;
   ps_engines : (string * Extract.snapshot) list;
-  ps_cache : Css_cache.Macromodel.entry_snap list;
-      (* macromodel cache entries, LRU first (recency order survives) *)
 }
 
 let path ~dir = Filename.concat dir "checkpoint.ckpt"
@@ -107,9 +105,11 @@ let path ~dir = Filename.concat dir "checkpoint.ckpt"
 
 let magic = "css-checkpoint"
 
-(* Version 2 added the macromodel-cache section; version-1 checkpoints
-   (no cache) still load, they just resume cold. *)
-let version = 2
+(* Version 2 carried a cone-cache section between the engines and the
+   end marker; version 3 dropped it. Both older versions still load: a
+   version-2 cache section is shape-checked (it sits under the body
+   hash) and its entries discarded. *)
+let version = 3
 let min_version = 1
 let fstr = Io.float_to_string
 
@@ -213,15 +213,6 @@ let body_of_state st =
           (String.init (Array.length sn.Extract.sn_expanded) (fun i ->
                if sn.Extract.sn_expanded.(i) then '1' else '0')))
     st.ps_engines;
-  line "cache %d" (List.length st.ps_cache);
-  List.iter
-    (fun (c : Css_cache.Macromodel.entry_snap) ->
-      line "c %d %016Lx %d %d %d" c.Css_cache.Macromodel.cs_key c.cs_hash c.cs_visited
-        (Array.length c.cs_members) (Array.length c.cs_nodes);
-      line "m %s" (String.concat " " (Array.to_list (Array.map string_of_int c.cs_members)));
-      line "n %s" (String.concat " " (Array.to_list (Array.map string_of_int c.cs_nodes)));
-      line "dl %s" (String.concat " " (Array.to_list (Array.map fstr c.cs_delays))))
-    st.ps_cache;
   line "end";
   Buffer.contents b
 
@@ -493,50 +484,11 @@ let parse_body ~version:v cur =
             } )
         | _ -> bad ~file:cur.file "CKPT-005" "malformed engine header")
   in
-  let ps_cache =
-    if v < 2 then []
-    else begin
-      let ncache = int_field cur "cache" in
-      List.init ncache (fun _ ->
-          match split_ws (field cur "c") with
-          | [ key; hash; visited; nmembers; nifaces ] ->
-            let nmembers = int_of cur "c.members" nmembers in
-            let nifaces = int_of cur "c.ifaces" nifaces in
-            let counted name kind n toks =
-              if List.length toks <> n then
-                bad ~file:cur.file "CKPT-005"
-                  (Printf.sprintf "%s: expected %d %s, got %d" name n kind (List.length toks))
-              else toks
-            in
-            let members =
-              Array.of_list
-                (List.map (int_of cur "m") (counted "m" "members" nmembers (split_ws (field cur "m"))))
-            in
-            let nodes =
-              Array.of_list
-                (List.map (int_of cur "n") (counted "n" "nodes" nifaces (split_ws (field cur "n"))))
-            in
-            let delays =
-              Array.of_list
-                (List.map (float_of cur "dl")
-                   (counted "dl" "delays" nifaces (split_ws (field cur "dl"))))
-            in
-            let hash =
-              match Int64.of_string_opt ("0x" ^ hash) with
-              | Some h -> h
-              | None -> bad ~file:cur.file "CKPT-005" "malformed cache entry hash"
-            in
-            {
-              Css_cache.Macromodel.cs_key = int_of cur "c.key" key;
-              cs_hash = hash;
-              cs_visited = int_of cur "c.visited" visited;
-              cs_members = members;
-              cs_nodes = nodes;
-              cs_delays = delays;
-            }
-          | _ -> bad ~file:cur.file "CKPT-005" "malformed cache entry header")
-    end
-  in
+  (* version 2 only: [cache N], then four lines per entry *)
+  if v = 2 then
+    for _ = 1 to int_field cur "cache" do
+      List.iter (fun key -> ignore (field cur key)) [ "c"; "m"; "n"; "dl" ]
+    done;
   (match next_line cur with
   | "end" -> ()
   | l -> bad ~file:cur.file "CKPT-005" (Printf.sprintf "expected end marker, got '%s'" l));
@@ -563,7 +515,6 @@ let parse_body ~version:v cur =
     ps_best;
     ps_design_text;
     ps_engines;
-    ps_cache;
   }
 
 let read_file file =

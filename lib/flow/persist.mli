@@ -10,7 +10,9 @@
     shortest-round-trip floats, so reloading perturbs no bit), the best
     in-memory checkpoint, and one {!Css_seqgraph.Extract.snapshot} per
     live extraction engine. The format is documented in
-    [docs/ROBUSTNESS.md].
+    [docs/ROBUSTNESS.md]. {!save} writes version 3; {!load} also reads
+    versions 1 and 2 (a version-2 cone-cache section is shape-checked,
+    then discarded).
 
     {2 Crash safety}
 
@@ -135,10 +137,6 @@ type state = {
   ps_engines : (string * Css_seqgraph.Extract.snapshot) list;
       (** live engine snapshots keyed ["ours-early"], ["ours-late"],
           ["iccss-early"], ["iccss-late"] *)
-  ps_cache : Css_cache.Macromodel.entry_snap list;
-      (** macromodel-cache entries, LRU first (so restoring in order
-          rebuilds the recency ranking); empty in version-1 checkpoints,
-          which load fine but resume with a cold cache *)
 }
 
 (** [path ~dir] is [<dir>/checkpoint.ckpt]. *)

@@ -16,7 +16,6 @@ module Obs = Css_util.Obs
 module Tracer = Css_util.Tracer
 module Pool = Css_util.Pool
 module Budget = Css_util.Budget
-module Macromodel = Css_cache.Macromodel
 module Point = Css_geometry.Point
 
 let log_src = Logs.Src.create "css.session" ~doc:"resident clock-skew scheduling sessions"
@@ -92,7 +91,6 @@ type config = {
   tracer : Tracer.t;
   jobs : int;
   budget : Budget.limits;
-  cache_bytes : int;
   checkpoint_dir : string option;
   handle_signals : bool;
   debug_interrupt_after_phase : int option;
@@ -121,7 +119,6 @@ let default_config =
     tracer = Tracer.null;
     jobs = 1;
     budget = Budget.no_limits;
-    cache_bytes = 64 * 1024 * 1024;
     checkpoint_dir = None;
     handle_signals = false;
     debug_interrupt_after_phase = None;
@@ -168,11 +165,6 @@ type t = {
   mutable pool : Pool.t option;
       (* shared by all engines; shut down at {!close}, or earlier by the
          degradation ladder *)
-  cache : Macromodel.t option;
-      (* cone macromodel cache, shared by all engines and corners; it
-         survives [reset_for_run] on purpose — warm delta requests are
-         exactly what it exists for. [Extract.run] rebinds it whenever
-         the timer is replaced, demoting or dropping stale entries. *)
   budget : Budget.t option;  (* armed only when a limit is configured *)
   mutable css_clock : Wall_clock.t;
   mutable opt_clock : Wall_clock.t;
@@ -204,29 +196,6 @@ type t = {
 let design st = Timer.design st.timer
 let config st = st.cfg
 let algo st = st.algo
-
-type cache_stats = {
-  cache_hits : int;
-  cache_rehash_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_entries : int;
-  cache_bytes_used : int;
-}
-
-let cache_stats st =
-  match st.cache with
-  | None -> None
-  | Some c ->
-    Some
-      {
-        cache_hits = Macromodel.hits c;
-        cache_rehash_hits = Macromodel.rehash_hits c;
-        cache_misses = Macromodel.misses c;
-        cache_evictions = Macromodel.evictions c;
-        cache_entries = Macromodel.entries c;
-        cache_bytes_used = Macromodel.bytes c;
-      }
 let is_closed st = st.closed
 
 let check_open st op =
@@ -299,8 +268,8 @@ let ours_engine st corner =
   | Some e -> e
   | None ->
     let e =
-      Extract.run ~obs:st.cfg.obs ?pool:st.pool ?cache:st.cache ~engine:Extract.Essential
-        st.timer st.verts ~corner
+      Extract.run ~obs:st.cfg.obs ?pool:st.pool ~engine:Extract.Essential st.timer st.verts
+        ~corner
     in
     set e;
     e
@@ -316,8 +285,7 @@ let iccss_engine st corner =
   | Some e -> e
   | None ->
     let e =
-      Extract.run ~obs:st.cfg.obs ?pool:st.pool ?cache:st.cache ~engine:Extract.Iccss st.timer
-        st.verts ~corner
+      Extract.run ~obs:st.cfg.obs ?pool:st.pool ~engine:Extract.Iccss st.timer st.verts ~corner
     in
     set e;
     e
@@ -380,12 +348,8 @@ let rec degrade st ~reason =
           ]
       | 4 -> set_stop st ("budget-" ^ reason)
       | _ -> ());
-      (* under memory pressure, shed half the macromodel cache and
-         return what the runtime can *)
-      if reason = "rss" then begin
-        Option.iter (fun c -> Macromodel.trim c ~frac:0.5) st.cache;
-        Gc.compact ()
-      end;
+      (* under memory pressure, also return what the runtime can *)
+      if reason = "rss" then Gc.compact ();
       st.degradations_rev <- Printf.sprintf "%s(%s)" step reason :: st.degradations_rev;
       Obs.incr (Obs.counter st.cfg.obs "flow.degradations");
       if Obs.enabled st.cfg.obs then
@@ -650,7 +614,6 @@ let persist_state st =
     ps_best = Option.map best_of_checkpoint st.best;
     ps_design_text = Io.to_string (Timer.design st.timer);
     ps_engines = engine_snapshots st;
-    ps_cache = (match st.cache with None -> [] | Some c -> Macromodel.snapshot c);
   }
 
 let snapshot st =
@@ -948,15 +911,6 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
   let engine0 =
     match algo with Ours | Ours_early -> `Ours | Iccss_plus -> `Iccss | Fpm -> `Fpm
   in
-  let cache =
-    if config.cache_bytes > 0 then
-      Some (Macromodel.create ~obs:config.obs ~max_bytes:config.cache_bytes ())
-    else None
-  in
-  (match (cache, resume) with
-  | Some c, Some ps when ps.Persist.ps_cache <> [] ->
-    Macromodel.restore c ps.Persist.ps_cache
-  | _ -> ());
   let st =
     {
       cfg = config;
@@ -966,7 +920,6 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
       verts = Vertex.of_design design;
       engines = { ours_early = None; ours_late = None; iccss_early = None; iccss_late = None };
       pool;
-      cache;
       budget;
       css_clock = Wall_clock.create ();
       opt_clock = Wall_clock.create ();
@@ -1020,8 +973,7 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
              else Timer.Late
            in
            let e =
-             Extract.restore ~obs:config.obs ?pool:st.pool ?cache:st.cache snap st.timer
-               st.verts ~corner
+             Extract.restore ~obs:config.obs ?pool:st.pool snap st.timer st.verts ~corner
            in
            match key with
            | "ours-early" -> st.engines.ours_early <- Some e

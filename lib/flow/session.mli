@@ -109,14 +109,6 @@ type config = {
   tracer : Css_util.Tracer.t;
   jobs : int;
   budget : Css_util.Budget.limits;
-  cache_bytes : int;
-      (** byte budget for the cone macromodel cache (default 64 MiB);
-          [0] disables caching entirely. The cache is shared by all
-          engines and corners, survives delta requests (warm ECO
-          answers), persists into checkpoints, and is trimmed by the
-          degradation ladder under RSS pressure. Results are bitwise
-          identical with the cache on or off — the identity oracle
-          asserts it. *)
   checkpoint_dir : string option;
   handle_signals : bool;
       (** consumed by [Flow.run]/[Flow.resume] (they wrap the drive in
@@ -178,20 +170,6 @@ val design : t -> Css_netlist.Design.t
 val config : t -> config
 
 val algo : t -> algo
-
-(** Macromodel-cache counters, cumulative over the session's life. *)
-type cache_stats = {
-  cache_hits : int;
-  cache_rehash_hits : int;  (** subset of [cache_hits] validated by hash *)
-  cache_misses : int;
-  cache_evictions : int;
-  cache_entries : int;  (** currently live models *)
-  cache_bytes_used : int;
-}
-
-(** [cache_stats t] is [None] when the session runs with
-    [cache_bytes = 0]. *)
-val cache_stats : t -> cache_stats option
 
 (** {1 Delta requests (incremental ECO)} *)
 

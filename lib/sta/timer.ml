@@ -99,15 +99,6 @@ type t = {
   pred_min : int array;
   rat_late : float array;
   rat_early : float array;
-  (* Delay-change epochs, the cache-invalidation substrate: [delay_gen]
-     advances at every update entry point, and [stamp.(n)] records the
-     generation of the last change at [n] that can move an arc delay
-     (slew, load, pin position, master). Latency-only updates move
-     arrivals but no stamps — that asymmetry is what lets a cone
-     macromodel survive the scheduler's latency iterations. *)
-  stamp : int array;
-  mutable delay_gen : int;
-  t_id : int;  (* process-unique: cache entries bound to a timer *)
   visit : Mark.t;  (* scratch for incremental worklists *)
   own_ctx : cone_ctx;  (* the timer's own sequential cone walker *)
   (* graph columns cached at build — the propagation loops index these
@@ -139,11 +130,6 @@ let set_obs t obs =
   t.obs <- obs;
   t.oc <- resolve_obs_counters obs
 
-let timer_id t = t.t_id
-let delay_gen t = t.delay_gen
-let delay_stamp t n = t.stamp.(n)
-let bump_gen t = t.delay_gen <- t.delay_gen + 1
-
 (* ------------------------------------------------------------------ *)
 (* Loads                                                               *)
 
@@ -155,7 +141,6 @@ let refresh_load_of_driver t node =
   let d = t.design in
   let pin = Array.unsafe_get t.g_node_pin node in
   let net = Design.pin_net_id d pin in
-  let old_load = Array.unsafe_get t.load node in
   if net < 0 then t.load.(node) <- 0.0
   else begin
     let px = Design.pin_x d pin and py = Design.pin_y d pin in
@@ -168,9 +153,7 @@ let refresh_load_of_driver t node =
       fs.s_acc <- fs.s_acc +. wcap +. sink_cap t sink
     done;
     t.load.(node) <- fs.s_acc
-  end;
-  (* a new load moves the delay of every cell arc into this node *)
-  if Array.unsafe_get t.load node <> old_load then Array.unsafe_set t.stamp node t.delay_gen
+  end
 
 let refresh_all_loads t =
   let d = t.design in
@@ -324,10 +307,6 @@ let recompute_forward t n =
   end;
   t.stats.forward_visits <- t.stats.forward_visits + 1;
   Obs.incr t.oc.o_fwd;
-  (* a slew change moves downstream cell-arc delays; arrival changes
-     alone do not, so latency sweeps leave the stamps untouched unless
-     they flip an arg-max onto an arc with a different output slew *)
-  if Array.unsafe_get t.slew n <> old_slew then Array.unsafe_set t.stamp n t.delay_gen;
   Array.unsafe_get t.at_max n <> old_max
   || Array.unsafe_get t.at_min n <> old_min
   || Array.unsafe_get t.slew n <> old_slew
@@ -368,7 +347,6 @@ let recompute_backward t n =
 (* Full propagation                                                    *)
 
 let propagate t =
-  bump_gen t;
   refresh_all_loads t;
   let topo = Graph.topo_order t.graph in
   for i = 0 to Array.length topo - 1 do
@@ -410,7 +388,6 @@ let sweep t ~seeds ~forward =
   !changed
 
 let update_after t ~fwd_seeds ~bwd_seeds =
-  bump_gen t;
   Obs.incr t.oc.o_incr_updates;
   let changed = sweep t ~seeds:fwd_seeds ~forward:true in
   (* Required times depend on downstream rats *and* on local slews, so
@@ -450,12 +427,6 @@ let update_moved_cells t cells =
             add_node fwd sink;
             add_node bwd sink)
   in
-  (* Placement/master changes move pin positions and Elmore terms the
-     value-compare hooks cannot all see, so every seed is stamped
-     unconditionally. The bump here (not just in [update_after]) keeps
-     these stamps strictly newer than any cache snapshot taken before
-     this call. *)
-  bump_gen t;
   let nets = Hashtbl.create 16 in
   let moved_ffs = ref [] in
   List.iter
@@ -475,8 +446,6 @@ let update_moved_cells t cells =
       add_node fwd (Design.cell_pin d ff "Q");
       add_node bwd (Design.cell_pin d ff "D"))
     !moved_ffs;
-  List.iter (fun n -> t.stamp.(n) <- t.delay_gen) !fwd;
-  List.iter (fun n -> t.stamp.(n) <- t.delay_gen) !bwd;
   update_after t ~fwd_seeds:!fwd ~bwd_seeds:!bwd
 
 let resize_cell t c master =
@@ -626,7 +595,7 @@ let sort_members_by_level level members count =
    worker domains; callers account visits via [note_cone_visits]
    afterwards (single-writer). The DP relaxation is an inline CSR loop:
    the only allocations are the result list cells. *)
-let cone_in ctx t corner ~root ~forward =
+let cone_nodes_in ctx t corner ~root ~forward =
   let g = t.graph in
   let visit = ctx.cw_visit and scratch = ctx.cw_scratch and members = ctx.cw_members in
   let ostart = t.g_out_start
@@ -717,30 +686,9 @@ let cone_in ctx t corner ~root ~forward =
   (!results, count)
 
 let cone t corner ~root ~forward =
-  let results, count = cone_in t.own_ctx t corner ~root ~forward in
+  let results, count = cone_nodes_in t.own_ctx t corner ~root ~forward in
   note_cone_visits t count;
   (results, count)
-
-let cone_to_endpoint_in ctx t corner e =
-  let root = Graph.node_of_endpoint t.graph e in
-  let raw, visited = cone_in ctx t corner ~root ~forward:false in
-  (List.map (fun (n, d) -> (Graph.launcher_of_node t.graph n, d)) raw, visited)
-
-let cone_from_launcher_in ctx t corner l =
-  let root = Graph.source_of_launcher t.graph l in
-  let raw, visited = cone_in ctx t corner ~root ~forward:true in
-  (List.map (fun (n, d) -> (Graph.endpoint_of_node t.graph n, d)) raw, visited)
-
-(* The raw node-level walk, for callers (the macromodel cache) that
-   store and replay cones without the launcher/endpoint classification.
-   On return [ctx]'s mark still holds exactly the cone members and
-   [ctx_members ctx .. ctx_member_count ctx - 1] lists them in the DP's
-   level order — content hashing reuses both without re-walking. *)
-let cone_nodes_in ctx t corner ~root ~forward = cone_in ctx t corner ~root ~forward
-
-let ctx_members ctx = ctx.cw_members
-let ctx_member_count ctx = ctx.cw_count
-let ctx_mark ctx = ctx.cw_visit
 
 let cone_to_endpoint t corner e =
   let root = Graph.node_of_endpoint t.graph e in
@@ -818,11 +766,6 @@ let k_worst_paths t corner e ~k =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-(* Process-unique timer identities: a cache holding entries for one
-   timer must detect being handed a different one (new graph, new node
-   numbering) even across ECO rebuilds that reuse the same address. *)
-let next_timer_id = Atomic.make 1
-
 let build ?(config = default_config) ?(obs = Obs.null) design =
   let graph = Graph.build design in
   let n = Graph.num_nodes graph in
@@ -847,9 +790,6 @@ let build ?(config = default_config) ?(obs = Obs.null) design =
       pred_min = Array.make sz (-1);
       rat_late = Array.make sz infinity;
       rat_early = Array.make sz neg_infinity;
-      stamp = Array.make sz 0;
-      delay_gen = 1;
-      t_id = Atomic.fetch_and_add next_timer_id 1;
       visit = Mark.create sz;
       own_ctx =
         {

@@ -60,27 +60,6 @@ val obs : t -> Css_util.Obs.t
     already accumulated are not transferred. *)
 val set_obs : t -> Css_util.Obs.t -> unit
 
-(** {1 Delay-change epochs (cache invalidation)}
-
-    The macromodel cache ({!Css_cache.Macromodel}) needs to know, per
-    node, whether any quantity an arc delay depends on (slew, load, pin
-    position, library master) has changed since a cone model was taken.
-    Clock-latency updates move arrivals and slacks but — by design — no
-    stamps, so a latency-only scheduler iteration invalidates nothing. *)
-
-(** [timer_id t] is a process-unique identity, fresh per {!build}. *)
-val timer_id : t -> int
-
-(** [delay_gen t] is the current delay-change generation; it advances on
-    every [propagate]/incremental-update entry. *)
-val delay_gen : t -> int
-
-(** [delay_stamp t n] is the generation of the last delay-relevant
-    change at node [n] (0 = never since build). A cone model snapshotted
-    at generation [s] is certainly still exact if every member's stamp
-    is [<= s]. *)
-val delay_stamp : t -> Graph.node -> int
-
 (** {1 Propagation} *)
 
 (** [propagate t] recomputes all arrivals, slews and required times from
@@ -173,14 +152,14 @@ val cone_from_launcher : t -> corner -> Graph.launcher -> (Graph.endpoint * floa
 
     {!cone_to_endpoint} and {!cone_from_launcher} use the timer's own
     scratch arrays and bump its stats inline, so only one may run at a
-    time. The [_in] variants walk through a caller-supplied {!cone_ctx}
-    and touch {e no} mutable timer state at all: give each worker domain
-    its own context and the walks may run concurrently against the same
-    timer, provided nothing mutates the timer (no [propagate], latency
-    or placement edits) while they are in flight. Visited-node counts
-    are returned, not accounted; the coordinating thread flushes them
-    once per round with {!note_cone_visits} (the stats record and [Obs]
-    context stay single-writer). *)
+    time. {!cone_nodes_in} walks through a caller-supplied {!cone_ctx}
+    and touches {e no} mutable timer state at all: give each worker
+    domain its own context and the walks may run concurrently against
+    the same timer, provided nothing mutates the timer (no [propagate],
+    latency or placement edits) while they are in flight. Visited-node
+    counts are returned, not accounted; the coordinating thread flushes
+    them once per round with {!note_cone_visits} (the stats record and
+    [Obs] context stay single-writer). *)
 
 (** Private scratch (visit marks + DP values) for one concurrent cone
     walker. *)
@@ -190,37 +169,13 @@ type cone_ctx
     Do not share one context between concurrent walkers. *)
 val cone_ctx : t -> cone_ctx
 
-(** [cone_to_endpoint_in ctx t corner e] is {!cone_to_endpoint} through
-    [ctx], without stats or counter side effects. *)
-val cone_to_endpoint_in :
-  cone_ctx -> t -> corner -> Graph.endpoint -> (Graph.launcher * float) list * int
-
-(** [cone_from_launcher_in ctx t corner l] is {!cone_from_launcher}
-    through [ctx], without stats or counter side effects. *)
-val cone_from_launcher_in :
-  cone_ctx -> t -> corner -> Graph.launcher -> (Graph.endpoint * float) list * int
-
-(** [cone_nodes_in ctx t corner ~root ~forward] is the raw node-level
-    walk underlying both [_in] variants: the reached endpoint (forward)
-    or source (backward) nodes with their extreme pure path delays, plus
-    the visited-node count. On return, [ctx]'s mark still holds exactly
-    the cone's members and [ctx_members]/[ctx_member_count] expose them
-    in the DP's level order — the macromodel cache hashes cone content
-    from these without a second traversal. *)
+(** [cone_nodes_in ctx t corner ~root ~forward] walks [root]'s fan-out
+    cone ([forward]) or fan-in cone through [ctx], without stats or
+    counter side effects: the reached endpoint (forward) or source
+    (backward) nodes with their extreme pure path delays, plus the
+    visited-node count. *)
 val cone_nodes_in :
   cone_ctx -> t -> corner -> root:Graph.node -> forward:bool -> (Graph.node * float) list * int
-
-(** [ctx_members ctx] is [ctx]'s member buffer; only the first
-    [ctx_member_count ctx] slots are meaningful, and only until the next
-    walk through [ctx]. *)
-val ctx_members : cone_ctx -> int array
-
-val ctx_member_count : cone_ctx -> int
-
-(** [ctx_mark ctx] is [ctx]'s visit mark (valid like {!ctx_members});
-    callers may also reset and reuse it as member-set scratch between
-    walks. *)
-val ctx_mark : cone_ctx -> Css_util.Mark.t
 
 (** [note_cone_visits t n] credits [n] cone-visited nodes to
     [t.stats.cone_visits] and the [timer.cone_nodes] counter — the

@@ -134,10 +134,10 @@ let diff_bench ~th base_records cur_records =
                  ~threshold:(Some th.max_p95_pct) ~base:b ~cur:c)
           | _ -> ()));
         compare_histograms ~th ~key ~rows (Json.member "histograms" bj) (Json.member "histograms" cj);
-        (* numeric fields the baseline predates (a freshly added metric,
-           e.g. cache_hit_ratio against an older artifact): surface them
-           as informational rows — never gated, never a failure — so the
-           report shows the new numbers until the baseline is refreshed *)
+        (* numeric fields the baseline predates (a metric added after
+           the baseline was recorded): surface them as informational
+           rows — never gated, never a failure — so the report shows
+           the new numbers until the baseline is refreshed *)
         (match cj with
         | Json.Obj kvs ->
           List.iter

@@ -5,8 +5,8 @@
    the paper's central equivalence claim: iterative essential extraction
    reaches the timing of exhaustive extraction (and IC-CSS+ parity keeps
    the baseline honest). The qcheck properties cover parallel-extraction
-   bit-identity and pipeline graceful degradation under random fault
-   sequences; a failing sequence is shrunk by Fault_seq and printed as a
+   bit-identity, warm-session identity under random delta sequences, and
+   pipeline graceful degradation under random fault sequences; a failing sequence is shrunk by Fault_seq and printed as a
    replayable seed + fault list. *)
 
 module Design = Css_netlist.Design
@@ -85,46 +85,12 @@ let jobs_identity_prop =
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
 
-(* {2 The macromodel cache: invisible cold, warm, and under deltas} *)
+(* {2 Warm sessions: incremental = from scratch under random deltas} *)
 
-(* the acceptance sweep: 3 profiles x all 3 engines x jobs {1,2,8},
-   cache-disabled vs cold-cache vs warm-rebound-cache, all bitwise *)
-let test_cache_identity_sweep () =
-  List.iter
-    (fun profile ->
-      let design = Generator.generate profile in
-      fail_all
-        (Printf.sprintf "cache/%s" profile.Profile.name)
-        (Oracles.check_cache_identity ~jobs:[ 1; 2; 8 ] design ~corner:Timer.Late))
-    (profiles 8086)
-
-(* random Mutator faults: whatever survives ingest + repair must still
-   schedule bitwise-identically with the cache on (Fault_seq drives the
-   same corruption ops through the full pipeline in css_fuzz) *)
-let cache_mutator_prop =
-  QCheck.Test.make ~name:"mutator faults never yield stale-cache divergence" ~count:12
-    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
-    (fun seed ->
-      let rng = Rng.create seed in
-      let text = Io.to_string (Generator.generate { Profile.tiny with Profile.seed }) in
-      let fault = List.nth Mutator.all (Rng.int rng (List.length Mutator.all)) in
-      let text, _ = Mutator.corrupt fault rng text in
-      match Io.of_string ~policy:Io.Recover ~library text with
-      | Error _ -> true (* rejected input: nothing reaches the cache *)
-      | Ok (design, _) -> (
-        match Css_netlist.Validate.run design with
-        | outcome when outcome.Css_netlist.Validate.fatal -> true
-        | _ -> (
-          match
-            Oracles.check_cache_identity ~engines:[ Oracles.Ours ] design ~corner:Timer.Late
-          with
-          | [] -> true
-          | failures -> QCheck.Test.fail_report (String.concat "\n" failures))))
-
-(* random session-delta sequences: a cache-enabled warm session must
-   track a cache-disabled one bitwise across every batch *)
-let cache_eco_prop =
-  QCheck.Test.make ~name:"delta sequences never yield stale-cache divergence" ~count:6
+(* random session-delta sequences on random tiny designs: a warm
+   session must track a from-scratch run bitwise across every batch *)
+let eco_identity_prop =
+  QCheck.Test.make ~name:"warm = from-scratch under deltas" ~count:6
     (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
     (fun seed ->
       let design = Generator.generate { Profile.tiny with Profile.seed } in
@@ -132,7 +98,7 @@ let cache_eco_prop =
       let deltas =
         [ Oracles.random_deltas rng design ~n:2; Oracles.random_deltas rng design ~n:3 ]
       in
-      match Oracles.check_cache_eco_identity ~deltas design ~algo:Css_flow.Flow.Ours with
+      match Oracles.check_eco_identity ~deltas design ~algo:Css_flow.Flow.Ours with
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
 
@@ -327,13 +293,7 @@ let () =
           Alcotest.test_case "jobs sweep" `Quick test_jobs_identity_sweep;
           QCheck_alcotest.to_alcotest jobs_identity_prop;
         ] );
-      ( "cache",
-        [
-          Alcotest.test_case "identity sweep (3 profiles x 3 engines x jobs {1,2,8})" `Quick
-            test_cache_identity_sweep;
-          QCheck_alcotest.to_alcotest cache_mutator_prop;
-          QCheck_alcotest.to_alcotest cache_eco_prop;
-        ] );
+      ("eco", [ QCheck_alcotest.to_alcotest eco_identity_prop ]);
       ( "resume",
         [
           Alcotest.test_case "identity sweep (3 profiles x 3 algos)" `Quick

@@ -217,6 +217,73 @@ let test_checkpoint_corruption () =
   Sys.remove file;
   checks "missing" "CKPT-001" (load_code dir)
 
+(* {3 Older checkpoint formats}
+
+   Format 2 carried a cone-cache section ([cache N], then four lines per
+   entry) between the engine snapshots and the end marker; format 1 had
+   none; format 3 (current) has none. Older files are synthesized from a
+   current one: same body, the cache section spliced in for format 2,
+   the header version set and the body rehashed (FNV-1a 64). *)
+
+let fnv1a64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+let legacy_checkpoint current ~version ~cache =
+  let after_line i = String.index_from current i '\n' + 1 in
+  let start = after_line (after_line 0) in
+  let body = String.sub current start (String.length current - start) in
+  let end_marker = "end\n" in
+  checkb "body ends with the end marker" true (String.ends_with ~suffix:end_marker body);
+  let body =
+    String.sub body 0 (String.length body - String.length end_marker) ^ cache ^ end_marker
+  in
+  Printf.sprintf "css-checkpoint %d\nhash %016Lx\n%s" version (fnv1a64 body) body
+
+(* format-2 cache entries: key, hash, visited, member and interface
+   counts; members; interface nodes; interface delays *)
+let v2_entry_a = "c 44 00c0ffee00c0ffee 5 3 2\nm 11 12 13\nn 14 15\ndl 12.5 30.25\n"
+let v2_entry_b = "c 61 0123456789abcdef 2 2 1\nm 15 16\nn 17\ndl 7\n"
+
+let latency_bits design =
+  Array.map (fun ff -> Int64.bits_of_float (Design.scheduled_latency design ff)) (Design.ffs design)
+
+let test_legacy_checkpoints_resume () =
+  let config = { Flow.default_config with Flow.rounds = 1 } in
+  let reference = Flow.clone (Lazy.force base_design) in
+  ignore (Flow.run ~config ~algo:Flow.Ours reference);
+  let dir = fresh_dir () in
+  ignore
+    (Flow.run
+       ~config:
+         { config with Flow.checkpoint_dir = Some dir; Flow.debug_interrupt_after_phase = Some 1 }
+       ~algo:Flow.Ours
+       (Flow.clone (Lazy.force base_design)));
+  let file = Persist.path ~dir in
+  let current = In_channel.with_open_bin file In_channel.input_all in
+  let write s = Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s) in
+  List.iter
+    (fun (label, version, cache) ->
+      write (legacy_checkpoint current ~version ~cache);
+      match
+        Flow.resume ~config:{ config with Flow.checkpoint_dir = Some dir }
+          ~library:(Design.library reference) ~dir ()
+      with
+      | Error ds ->
+        Alcotest.failf "%s: resume failed: %s" label
+          (match ds with d :: _ -> d.Diag.message | [] -> "?")
+      | Ok (r, resumed) ->
+        checkb (label ^ ": resumed") true r.Flow.resumed;
+        checkb (label ^ ": bitwise equal to the uninterrupted run") true
+          (latency_bits resumed = latency_bits reference))
+    [ ("format 1", 1, ""); ("format 2", 2, "cache 2\n" ^ v2_entry_a ^ v2_entry_b) ];
+  (* a format-2 cache section announcing more entries than it holds *)
+  write (legacy_checkpoint current ~version:2 ~cache:("cache 2\n" ^ v2_entry_a));
+  checks "truncated cache section" "CKPT-005" (load_code dir)
+
 let test_budget_ladder () =
   (* a soft-tripped wall budget (soft threshold ~0, limit far away) must
      walk the ladder one rung per phase boundary and end with a
@@ -287,63 +354,6 @@ let test_resume_from_garbage_dir () =
   | Error (d :: _) -> checks "code" "CKPT-001" d.Diag.code
   | Error [] -> Alcotest.fail "no diagnostics"
 
-(* {2 The macromodel cache inside a warm session} *)
-
-module Session = Css_flow.Session
-module Obs = Css_util.Obs
-
-(* A warm session answering a latency-only delta must not re-walk a
-   single cone: latency edits never stamp a delay, so every extraction
-   lookup has to land in the cache (stamp tier, or hash tier after a
-   from-scratch timer rebuild). The extract.*.cone_walks counters count
-   real traversals; their delta across the second apply_delta is the
-   assertion. *)
-let test_warm_delta_zero_walks () =
-  let obs = Obs.create () in
-  let design = Generator.generate { Profile.tiny with Profile.seed = 5 } in
-  let config =
-    {
-      Flow.default_config with
-      Flow.rounds = 1;
-      Flow.obs = obs;
-      Flow.final_eval = false;
-      Flow.rollback = false;
-    }
-  in
-  let session = Session.open_ ~config ~algo:Session.Ours design in
-  Fun.protect
-    ~finally:(fun () -> Session.close session)
-    (fun () ->
-      ignore (Session.finish session);
-      let counters () = Obs.counters obs in
-      let get name = Option.value ~default:0 (List.assoc_opt name (counters ())) in
-      let walks () =
-        List.fold_left
-          (fun acc (n, v) ->
-            let suffix = ".cone_walks" in
-            let ls = String.length suffix and ln = String.length n in
-            if ln > ls && String.sub n (ln - ls) ls = suffix then acc + v else acc)
-          0 (counters ())
-      in
-      let ff = (Design.ffs design).(0) in
-      let delta lat =
-        Session.Set_latency { ff = Design.cell_name design ff; latency = lat }
-      in
-      (* first delta: converges the schedule around the override and
-         warms any cone the initial run did not touch *)
-      (match Session.apply_delta session [ delta 3.0 ] with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "first delta rejected");
-      let walks0 = walks () in
-      let hits0 = get "cache.hit" + get "cache.rehash_hit" in
-      (* second, identical override: the cones are all cached and no
-         delay moved, so re-convergence must replay every interface *)
-      (match Session.apply_delta session [ delta 3.0 ] with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "second delta rejected");
-      checki "zero cone re-walks on the warm delta" 0 (walks () - walks0);
-      checkb "cache hits grew" true (get "cache.hit" + get "cache.rehash_hit" > hits0))
-
 let test_flow_on_micro () =
   let design = Generator.micro () in
   let r = Flow.run ~algo:Flow.Ours design in
@@ -383,10 +393,7 @@ let () =
           Alcotest.test_case "interrupt persists and resumes" `Quick
             test_interrupt_persists_and_resumes;
           Alcotest.test_case "resume from garbage dir" `Quick test_resume_from_garbage_dir;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "warm delta does zero cone re-walks" `Quick
-            test_warm_delta_zero_walks;
+          Alcotest.test_case "format 1 and 2 checkpoints resume" `Quick
+            test_legacy_checkpoints_resume;
         ] );
     ]

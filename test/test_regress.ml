@@ -79,21 +79,21 @@ let test_zero_means_not_measured () =
   | None -> Alcotest.fail "rss row missing"
 
 let test_new_field_informational () =
-  (* a metric the baseline predates (cache_hit_ratio landed after the
+  (* a metric the baseline predates (one that landed after the
      baseline was frozen) must surface as an ungated informational row,
      never a failure *)
   let base = Json.List [ bench_record () ] in
   let cur =
-    Json.List [ bench_record ~extra:[ ("cache_hit_ratio", Json.Float 0.97) ] () ]
+    Json.List [ bench_record ~extra:[ ("new_metric", Json.Float 0.97) ] () ]
   in
   let r = Regress.diff ~baseline:base ~current:cur () in
   checkb "new field ok" true (Regress.ok r);
-  match find_row r ~key:"sb18/full" ~metric:"cache_hit_ratio" with
+  match find_row r ~key:"sb18/full" ~metric:"new_metric" with
   | Some row ->
     checkb "informational" true (row.Regress.r_threshold_pct = None);
     checkb "not regressed" false row.Regress.r_regressed;
     checkb "current value carried" true (Float.abs (row.Regress.r_cur -. 0.97) < 1e-9)
-  | None -> Alcotest.fail "cache_hit_ratio row missing"
+  | None -> Alcotest.fail "new_metric row missing"
 
 let test_missing_record_fails_gate () =
   let base =

@@ -207,7 +207,6 @@ let test_request_roundtrip () =
           o_rollback = None;
           o_wall_seconds = Some 1.5;
           o_rss_mb = Some 256;
-          o_cache_mb = Some 32;
         };
       Protocol.Run "s";
       Protocol.Apply_delta
@@ -351,7 +350,7 @@ let reap pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
-let open_params ?(rounds = 2) ?(algo = "Ours") ?wall ?rss_mb ?cache_mb ~session text =
+let open_params ?(rounds = 2) ?(algo = "Ours") ?wall ?rss_mb ~session text =
   Protocol.Open
     {
       Protocol.o_session = session;
@@ -363,7 +362,6 @@ let open_params ?(rounds = 2) ?(algo = "Ours") ?wall ?rss_mb ?cache_mb ~session 
       o_rollback = None;
       o_wall_seconds = wall;
       o_rss_mb = rss_mb;
-      o_cache_mb = cache_mb;
     }
 
 let expect_code c req code =
@@ -495,6 +493,77 @@ let test_daemon_sigkill_resume () =
   ignore (Client.expect_ok (Client.rpc c4 Protocol.Shutdown));
   ignore (Unix.waitpid [] !pid)
 
+(* {3 Legacy cone-cache fields}
+
+   Clients and state directories from before the cone cache was removed
+   may still carry [cache_mb]; both must keep working, the field
+   ignored. *)
+
+(* [req] as JSON with the legacy [cache_mb] field appended. *)
+let with_legacy_cache_mb req =
+  match Protocol.request_to_json req with
+  | Json.Obj kvs -> Json.Obj (kvs @ [ ("cache_mb", Json.Int 32) ])
+  | _ -> Alcotest.fail "open request is not a JSON object"
+
+let test_open_ignores_cache_mb () =
+  let d0 = tiny_design () in
+  let text = Io.to_string d0 in
+  let req = open_params ~session:"legacy" text in
+  (* the parser drops the field: the request is the one without it *)
+  checkb "cache_mb parses to the same request" true
+    (Protocol.request_of_json (with_legacy_cache_mb req) = req);
+  let socket = fresh_socket () in
+  let pid = fork_daemon (daemon_config ~socket ()) in
+  Fun.protect ~finally:(fun () -> reap pid) @@ fun () ->
+  let c = Client.wait_for_socket ~timeout:30.0 socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  ignore (Client.expect_ok (Client.rpc_json c (with_legacy_cache_mb req)));
+  ignore (Client.expect_ok (Client.rpc c (Protocol.Run "legacy")));
+  let local = Flow.clone d0 in
+  ignore (Flow.run ~config:(svc_config ~rounds:2 ()) ~algo:Flow.Ours local);
+  let remote =
+    latencies_of_response (Client.expect_ok (Client.rpc c (Protocol.Latencies "legacy")))
+  in
+  check_same_latencies "legacy open runs like any other" (exact_latencies local) remote;
+  ignore (Client.expect_ok (Client.rpc c Protocol.Shutdown));
+  ignore (Unix.waitpid [] pid)
+
+let test_restore_ignores_meta_cache_mb () =
+  let socket = fresh_socket () in
+  let state = fresh_dir () in
+  let dcfg = daemon_config ~state_dir:(Some state) ~socket () in
+  let pid = ref (fork_daemon dcfg) in
+  Fun.protect ~finally:(fun () -> reap !pid) @@ fun () ->
+  let d0 = tiny_design () in
+  let c1 = Client.wait_for_socket ~timeout:30.0 socket in
+  ignore (Client.expect_ok (Client.rpc c1 (open_params ~session:"old" (Io.to_string d0))));
+  Unix.kill !pid Sys.sigkill;
+  ignore (Unix.waitpid [] !pid);
+  Client.close c1;
+  (* rewrite the session meta as a daemon with a cone cache wrote it *)
+  let meta = Filename.concat (Filename.concat state "old") "session.json" in
+  let legacy =
+    match Json.of_string (In_channel.with_open_text meta In_channel.input_all) with
+    | Json.Obj kvs -> Json.Obj (kvs @ [ ("cache_mb", Json.Int 64) ])
+    | _ -> Alcotest.fail "unreadable session meta"
+  in
+  Json.write_file meta (fun oc -> output_string oc (Json.to_string legacy));
+  pid := fork_daemon dcfg;
+  let c2 = Client.wait_for_socket ~timeout:30.0 socket in
+  Fun.protect ~finally:(fun () -> Client.close c2) @@ fun () ->
+  let stats = Client.expect_ok (Client.rpc c2 Protocol.Stats) in
+  checks "legacy meta resumes" "resumed" (List.assoc "old" (stop_reasons stats));
+  ignore (Client.expect_ok (Client.rpc c2 (Protocol.Run "old")));
+  let local = Flow.clone d0 in
+  ignore (Flow.run ~config:(svc_config ~rounds:2 ()) ~algo:Flow.Ours local);
+  let remote =
+    latencies_of_response (Client.expect_ok (Client.rpc c2 (Protocol.Latencies "old")))
+  in
+  check_same_latencies "run after legacy-meta resume" (exact_latencies local) remote;
+  ignore (Client.expect_ok (Client.rpc c2 (Protocol.Close "old")));
+  ignore (Client.expect_ok (Client.rpc c2 Protocol.Shutdown));
+  ignore (Unix.waitpid [] !pid)
+
 let test_daemon_concurrent_budgets () =
   let socket = fresh_socket () in
   let pid = fork_daemon (daemon_config ~socket ()) in
@@ -618,6 +687,9 @@ let () =
           Alcotest.test_case "round trip + error codes" `Quick test_daemon_roundtrip;
           Alcotest.test_case "sigkill resume" `Quick test_daemon_sigkill_resume;
           Alcotest.test_case "concurrent sessions + budgets" `Quick test_daemon_concurrent_budgets;
+          Alcotest.test_case "open ignores legacy cache_mb" `Quick test_open_ignores_cache_mb;
+          Alcotest.test_case "restore ignores legacy meta cache_mb" `Quick
+            test_restore_ignores_meta_cache_mb;
         ] );
       ( "eco-identity",
         [
