@@ -54,40 +54,56 @@ let check_constraints cfg design =
   List.iter (fun e -> err "netlist: %s" e) (Design.check design);
   List.rev !errors
 
+let timing timer =
+  {
+    wns_early = Timer.wns timer Timer.Early;
+    tns_early = Timer.tns timer Timer.Early;
+    wns_late = Timer.wns timer Timer.Late;
+    tns_late = Timer.tns timer Timer.Late;
+    num_early_violations = List.length (Timer.violated_endpoints timer Timer.Early);
+    num_late_violations = List.length (Timer.violated_endpoints timer Timer.Late);
+    hpwl = Design.total_hpwl (Timer.design timer);
+    constraint_errors = [];
+  }
+
+(* Zero the scheduled latencies of [ffs]; the result puts them back. *)
+let stash design ffs =
+  let saved = List.map (Design.scheduled_latency design) ffs in
+  List.iter (fun ff -> Design.set_scheduled_latency design ff 0.0) ffs;
+  fun () -> List.iter2 (Design.set_scheduled_latency design) ffs saved
+
+let score ?(config = default_config) timer =
+  let design = Timer.design timer in
+  let report () = { (timing timer) with constraint_errors = check_constraints config design } in
+  let held =
+    if config.include_scheduled then []
+    else
+      List.filter
+        (fun ff -> Design.scheduled_latency design ff <> 0.0)
+        (Array.to_list (Design.ffs design))
+  in
+  if held = [] then report ()
+  else begin
+    (* contest semantics on a live timer: take the virtual latencies out
+       for the read and put them back after, both incrementally; the
+       propagation is exact, so the timer ends bitwise where it began *)
+    let restore = stash design held in
+    Fun.protect
+      ~finally:(fun () ->
+        restore ();
+        Timer.update_latencies timer held)
+      (fun () ->
+        Timer.update_latencies timer held;
+        report ())
+  end
+
 let evaluate ?(config = default_config) design =
-  (* Stash virtual latencies when the contest semantics (physical clock
-     network only) are requested. *)
-  let stashed =
-    if config.include_scheduled then None
-    else begin
-      let saved =
-        Array.map
-          (fun ff -> (ff, Design.scheduled_latency design ff))
-          (Design.ffs design)
-      in
-      Array.iter (fun (ff, _) -> Design.set_scheduled_latency design ff 0.0) saved;
-      Some saved
-    end
+  (* contest semantics: only the physical clock network counts, so the
+     virtual latencies are stashed for the build *)
+  let restore =
+    if config.include_scheduled then ignore else stash design (Array.to_list (Design.ffs design))
   in
-  let timer = Timer.build ~config:config.timer design in
-  let early = Timer.violated_endpoints timer Timer.Early in
-  let late = Timer.violated_endpoints timer Timer.Late in
-  let report =
-    {
-      wns_early = Timer.wns timer Timer.Early;
-      tns_early = Timer.tns timer Timer.Early;
-      wns_late = Timer.wns timer Timer.Late;
-      tns_late = Timer.tns timer Timer.Late;
-      num_early_violations = List.length early;
-      num_late_violations = List.length late;
-      hpwl = Design.total_hpwl design;
-      constraint_errors = check_constraints config design;
-    }
-  in
-  (match stashed with
-  | Some saved -> Array.iter (fun (ff, l) -> Design.set_scheduled_latency design ff l) saved
-  | None -> ());
-  report
+  Fun.protect ~finally:restore (fun () -> score ~config (Timer.build ~config:config.timer design))
 
 let summary r =
   Printf.sprintf

@@ -23,9 +23,10 @@
       detector ([stall_phases] consecutive phases without worst-slack
       improvement);
     - {b checkpoint / rollback}: after validation and after every phase
-      the evaluator scores the physically realized state and the
-      best-scoring checkpoint (latencies, positions, masters, FF-LCB
-      binding) is kept; if the run ends worse than its best checkpoint,
+      the physically realized state is scored on the contest's terms
+      ({!Session.score}: read off the live timer, bitwise a fresh
+      evaluation) and the best-scoring checkpoint (latencies, positions,
+      masters, FF-LCB binding) is kept; if the run ends worse than its best checkpoint,
       the design is restored and the result reports [rolled_back =
       true]. A run can therefore never end worse than its input;
     - {b resource governance}: an optional {!Css_util.Budget} (wall
@@ -128,7 +129,7 @@ type config = Session.config = {
   final_eval : bool;
       (** score the final state with the independent evaluator (default
           true). [false] synthesizes [report] from the live timer
-          instead — much cheaper, but rollback scoring is disabled and
+          instead — cheaper, but rollback scoring is disabled and
           constraint auditing is skipped; see
           {!Session.config.final_eval} *)
   eco_fallback_frac : float;

@@ -128,9 +128,8 @@ let default_config =
 let clone design =
   Io.of_string_exn ~library:(Design.library design) (Io.to_string design)
 
-(* A restorable snapshot of everything the OPT passes mutate, scored by
-   the independent evaluator (which sees the physically realized state —
-   realization zeroes the scheduled latencies it hosts). *)
+(* A restorable snapshot of everything the OPT passes mutate, scored on
+   the contest's view: the physically realized state (see {!score}). *)
 type checkpoint = {
   label : string;
   ck_ffs : Design.cell_id array;
@@ -435,35 +434,35 @@ let scheduler_config st =
 
 (* {2 Checkpoint / rollback} *)
 
-let evaluate_now st =
-  Evaluator.evaluate
-    ~config:{ Evaluator.default_config with Evaluator.timer = st.cfg.timer }
-    (Timer.design st.timer)
+let eval_config st = { Evaluator.default_config with Evaluator.timer = st.cfg.timer }
+let evaluate_now st = Evaluator.evaluate ~config:(eval_config st) (Timer.design st.timer)
 
-(* The cheap stand-in for {!evaluate_now} when [final_eval = false]: the
-   live timer's view of the schedule (scheduled latencies still count,
-   no constraint audit, no fresh propagation). Right for a service
-   answering delta requests; never for final paper scoring. *)
-let live_report st =
-  {
-    Evaluator.wns_early = Timer.wns st.timer Timer.Early;
-    tns_early = Timer.tns st.timer Timer.Early;
-    wns_late = Timer.wns st.timer Timer.Late;
-    tns_late = Timer.tns st.timer Timer.Late;
-    num_early_violations = List.length (Timer.violated_endpoints st.timer Timer.Early);
-    num_late_violations = List.length (Timer.violated_endpoints st.timer Timer.Late);
-    hpwl = Design.total_hpwl (Timer.design st.timer);
-    constraint_errors = [];
-  }
+(* The contest report of the current state, read off the live timer.
+   Realization zeroes every scheduled latency it consumes, so at a phase
+   boundary the timer normally already is the physical view the contest
+   scores; a flip-flop still holding one (an input that arrives with
+   one, a [Set_latency] delta, or a float residue below the realization
+   threshold) has it taken out for the read by {!Evaluator.score}. *)
+let score st =
+  check_open st "score";
+  Evaluator.score ~config:(eval_config st) st.timer
 
-(* Checkpoint scoring needs the independent evaluator (it builds its own
-   timer per call); without it there is nothing trustworthy to roll back
-   to, so [final_eval = false] also disables rollback scoring. *)
+(* Rollback compares the final report against the checkpoints' scores,
+   so both must be on the contest scale. With [final_eval = false] the
+   final report is {!Evaluator.timing}'s live view (virtual latencies
+   counted, no constraint audit), which is not comparable, so rollback
+   scoring is off with it. *)
 let scored_checkpoints st = st.cfg.rollback && st.cfg.final_eval
 
-let take_checkpoint st ~label =
+(* Rollback rank of a report: the worse corner's WNS, then the summed
+   TNS as tie-break. A resumed run recomputes both from the persisted
+   report with these same expressions, so its decisions stay bitwise
+   those of an uninterrupted run. *)
+let rank_score (r : Evaluator.report) = Float.min r.Evaluator.wns_early r.Evaluator.wns_late
+let rank_tns (r : Evaluator.report) = r.Evaluator.tns_early +. r.Evaluator.tns_late
+
+let take_checkpoint st ~label report =
   let design = Timer.design st.timer in
-  let report = evaluate_now st in
   let ffs = Design.ffs design in
   {
     label;
@@ -476,8 +475,8 @@ let take_checkpoint st ~label =
       Array.init (Design.num_cells design) (fun c ->
           (Design.cell_master design c).Css_liberty.Cell.name);
     ck_report = report;
-    ck_score = Float.min report.Evaluator.wns_early report.Evaluator.wns_late;
-    ck_tns = report.Evaluator.tns_early +. report.Evaluator.tns_late;
+    ck_score = rank_score report;
+    ck_tns = rank_tns report;
   }
 
 let better ~score ~tns (cp : checkpoint) =
@@ -512,23 +511,23 @@ let restore st (cp : checkpoint) =
     cp.ck_ffs;
   resync st
 
+(* Score the current state; snapshot it only when it beats the best. *)
 let consider_checkpoint st ~label =
-  let cp = take_checkpoint st ~label in
-  (match st.best with
-  | Some best when not (better ~score:cp.ck_score ~tns:cp.ck_tns best) -> ()
+  let report = Obs.span st.cfg.obs "checkpoint-score" (fun () -> score st) in
+  let score = rank_score report and tns = rank_tns report in
+  match st.best with
+  | Some best when not (better ~score ~tns best) -> ()
   | _ ->
-    st.best <- Some cp;
+    st.best <- Some (take_checkpoint st ~label report);
     Obs.incr (Obs.counter st.cfg.obs "flow.checkpoints");
-    Log.debug (fun m -> m "checkpoint %s: score %.2f" label cp.ck_score));
-  cp
+    Log.debug (fun m -> m "checkpoint %s: score %.2f" label score)
 
 (* {2 Durable checkpoints}
 
    The in-memory state maps field-for-field onto [Persist.state]; the
-   best checkpoint's evaluator report is carried verbatim (never
-   re-derived) and its score/tie-break are recomputed on resume with the
-   same float expressions [take_checkpoint] uses, so a resumed run's
-   rollback decisions are bitwise those of an uninterrupted one. *)
+   best checkpoint's report is carried verbatim (never re-derived) and
+   its score/tie-break are recomputed on resume by {!rank_score} and
+   {!rank_tns}. *)
 
 let trace_entry_of_point (p : trace_point) =
   {
@@ -576,8 +575,8 @@ let checkpoint_of_best (b : Persist.best) =
           Point.make b.Persist.pb_x.(i) b.Persist.pb_y.(i));
     ck_masters = b.Persist.pb_masters;
     ck_report = report;
-    ck_score = Float.min report.Evaluator.wns_early report.Evaluator.wns_late;
-    ck_tns = report.Evaluator.tns_early +. report.Evaluator.tns_late;
+    ck_score = rank_score report;
+    ck_tns = rank_tns report;
   }
 
 let engine_snapshots st =
@@ -734,9 +733,10 @@ let css_opt_phase st ~round ~corner =
     resync st
   | None -> ());
   if scored_checkpoints st then
-    ignore (consider_checkpoint st ~label:(Printf.sprintf "round-%d-%s" round phase));
-  (* stall watchdog on the live timer's worst slack (cheap; the
-     evaluator-scored checkpoint above is the rollback authority) *)
+    consider_checkpoint st ~label:(Printf.sprintf "round-%d-%s" round phase);
+  (* stall watchdog on the live timer's worst slack (virtual latencies
+     counted; the contest-scored checkpoint above is the rollback
+     authority) *)
   let worst = Float.min (Timer.wns st.timer Timer.Early) (Timer.wns st.timer Timer.Late) in
   if worst > st.stall_best +. 1e-9 then begin
     st.stall_best <- worst;
@@ -836,12 +836,17 @@ let finalize st =
   add_stats st.engines.ours_late;
   add_stats st.engines.iccss_early;
   add_stats st.engines.iccss_late;
-  let final_report = if st.cfg.final_eval then evaluate_now st else live_report st in
+  (* the final state is scored on a fresh timer, never on the live one
+     the checkpoints were read off (a rollback reports the restored
+     checkpoint's own score); without [final_eval], the live view *)
+  let final_report =
+    if st.cfg.final_eval then Obs.span st.cfg.obs "final-eval" (fun () -> evaluate_now st)
+    else Evaluator.timing st.timer
+  in
   let report, rolled_back =
     if not (scored_checkpoints st) then (final_report, false)
     else
-      let score = Float.min final_report.Evaluator.wns_early final_report.Evaluator.wns_late in
-      let tns = final_report.Evaluator.tns_early +. final_report.Evaluator.tns_late in
+      let score = rank_score final_report and tns = rank_tns final_report in
       match st.best with
       | Some cp when not (better ~score ~tns cp) && cp.ck_score > score +. 1e-9 ->
         Log.warn (fun m ->
@@ -953,7 +958,7 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
        snapshot_point st ~round:0 ~phase:"start" ~iter:0;
        (* the input itself is the first checkpoint: a hardened run can
           never end worse than what it was given *)
-       if scored_checkpoints st then ignore (consider_checkpoint st ~label:"start");
+       if scored_checkpoints st then consider_checkpoint st ~label:"start";
        persist_checkpoint st
      | Some ps ->
        (* the reparsed design anchored movement legality at checkpoint-time
@@ -1285,7 +1290,7 @@ let reset_for_run st =
   st.t0 <- Wall_clock.now ();
   st.hpwl_before <- Design.total_hpwl (Timer.design st.timer);
   snapshot_point st ~round:0 ~phase:"start" ~iter:0;
-  if scored_checkpoints st then ignore (consider_checkpoint st ~label:"start");
+  if scored_checkpoints st then consider_checkpoint st ~label:"start";
   persist_checkpoint st
 
 let apply_delta st deltas =

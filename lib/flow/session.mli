@@ -90,12 +90,13 @@ type config = {
   final_eval : bool;
       (** score the final state with the independent evaluator (default
           true — the paper-scoring contract). [false] synthesizes the
-          report from the live timer instead: much cheaper (no fresh
-          timer build per request — the difference between an ECO answer
-          and a from-scratch run), but rollback scoring is disabled with
-          it ([rolled_back] is always false) and constraint auditing is
-          skipped. Services answering delta requests set [false]; final
-          sign-off keeps [true]. *)
+          report from the live timer instead: cheaper (no fresh timer
+          build per request), but that report counts virtual latencies
+          and skips constraint auditing, so it is not on the contest
+          scale the rollback checkpoints are scored on — rollback
+          scoring is disabled with it ([rolled_back] is always false).
+          Services answering delta requests set [false]; final sign-off
+          keeps [true]. *)
   eco_fallback_frac : float;
       (** {!apply_delta} falls back to a from-scratch timer rebuild when
           a delta batch touches more than this fraction of all cells
@@ -164,6 +165,14 @@ val is_closed : t -> bool
 (** The live design. Owned by the session: treat as read-only and
     {!clone} before mutating outside {!apply_delta}. *)
 val design : t -> Css_netlist.Design.t
+
+(** [score t] is the contest report of the current state, as rollback
+    checkpoints are scored: {!Css_eval.Evaluator.score} on the live
+    timer, bitwise [Evaluator.evaluate (design t)] with the session's
+    timer setup ({!Css_oracle.Oracles.check_checkpoint_scores} enforces
+    this). Scheduled latencies still held by flip-flops are taken out
+    for the read and put back, so the session's state is unchanged. *)
+val score : t -> Css_eval.Evaluator.report
 
 (** The session's current configuration. [Apply_sdc] deltas can change
     the [timer] sub-config; everything else is as given to {!open_}. *)

@@ -46,6 +46,35 @@ let latencies_of design =
   |> List.map (fun ff -> (Design.cell_name design ff, Design.scheduled_latency design ff))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* Field-by-field bitwise comparison of two reports: one message per
+   differing field. *)
+let report_diffs ~label (a : Evaluator.report) (b : Evaluator.report) =
+  let bits = Int64.bits_of_float in
+  let f name x y =
+    if bits x = bits y then []
+    else [ Printf.sprintf "%s: %s not bit-identical (%.17g vs %.17g)" label name x y ]
+  in
+  let i name x y =
+    if x = y then [] else [ Printf.sprintf "%s: %s differs (%d vs %d)" label name x y ]
+  in
+  List.concat
+    [
+      f "WNS(early)" a.Evaluator.wns_early b.Evaluator.wns_early;
+      f "TNS(early)" a.Evaluator.tns_early b.Evaluator.tns_early;
+      f "WNS(late)" a.Evaluator.wns_late b.Evaluator.wns_late;
+      f "TNS(late)" a.Evaluator.tns_late b.Evaluator.tns_late;
+      i "#early violations" a.Evaluator.num_early_violations b.Evaluator.num_early_violations;
+      i "#late violations" a.Evaluator.num_late_violations b.Evaluator.num_late_violations;
+      f "HPWL" a.Evaluator.hpwl b.Evaluator.hpwl;
+      (if a.Evaluator.constraint_errors = b.Evaluator.constraint_errors then []
+       else
+         [
+           Printf.sprintf "%s: constraint audit differs (%d vs %d errors)" label
+             (List.length a.Evaluator.constraint_errors)
+             (List.length b.Evaluator.constraint_errors);
+         ]);
+    ]
+
 let with_optional_pool jobs f =
   match jobs with
   | Some j when j > 1 -> Pool.with_pool ~jobs:j (fun pool -> f (Some pool))
@@ -226,19 +255,12 @@ let check_resume_identity ?(config = Flow.default_config) ?kill_after_phase
     if resumed.Flow.rolled_back <> reference.Flow.rolled_back then
       fail "rollback decision diverged: resumed %b vs uninterrupted %b" resumed.Flow.rolled_back
         reference.Flow.rolled_back;
+    failures :=
+      List.rev_append
+        (report_diffs ~label:"final report, resumed vs uninterrupted" resumed.Flow.report
+           reference.Flow.report)
+        !failures;
     let bits = Int64.bits_of_float in
-    let cmp_f name a b =
-      if bits a <> bits b then fail "%s not bit-identical (%.17g vs %.17g)" name b a
-    in
-    cmp_f "final WNS(early)" reference.Flow.report.Evaluator.wns_early
-      resumed.Flow.report.Evaluator.wns_early;
-    cmp_f "final WNS(late)" reference.Flow.report.Evaluator.wns_late
-      resumed.Flow.report.Evaluator.wns_late;
-    cmp_f "final TNS(early)" reference.Flow.report.Evaluator.tns_early
-      resumed.Flow.report.Evaluator.tns_early;
-    cmp_f "final TNS(late)" reference.Flow.report.Evaluator.tns_late
-      resumed.Flow.report.Evaluator.tns_late;
-    cmp_f "final HPWL" reference.Flow.report.Evaluator.hpwl resumed.Flow.report.Evaluator.hpwl;
     let ref_lat = latencies_of reference_design and res_lat = latencies_of resumed_design in
     if List.length ref_lat <> List.length res_lat then
       fail "flip-flop count diverged (%d vs %d)" (List.length ref_lat) (List.length res_lat)
@@ -390,6 +412,78 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
           ref_lat (Hashtbl.find per_jobs j))
       rest
   | [] -> ());
+  List.rev !failures
+
+(* ------------------------------------------------------------------ *)
+(* Checkpoint scores *)
+
+(* The live-timer checkpoint score is a fast path for a fresh
+   evaluation; at every phase boundary the two must agree bitwise, and
+   scoring must not perturb the run. *)
+let check_checkpoint_scores ?(config = Session.default_config) design ~algo =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let diffs ds = failures := List.rev_append ds !failures in
+  let bits = Int64.bits_of_float in
+  let config =
+    {
+      config with
+      Session.checkpoint_dir = None;
+      Session.handle_signals = false;
+      Session.debug_interrupt_after_phase = None;
+      Session.debug_interrupt_after_iteration = None;
+    }
+  in
+  let eval_config = { Evaluator.default_config with Evaluator.timer = config.Session.timer } in
+  let run ~probe config =
+    let d = Flow.clone design in
+    let s = Session.open_ ~config ~algo d in
+    Fun.protect
+      ~finally:(fun () -> Session.close s)
+      (fun () ->
+        let check label =
+          if probe then
+            diffs
+              (report_diffs ~label:(label ^ ": live score vs fresh evaluation")
+                 (Session.score s)
+                 (Evaluator.evaluate ~config:eval_config (Session.design s)))
+        in
+        check "open";
+        let rec drive k =
+          match Session.step s with
+          | `Phase label ->
+            check (Printf.sprintf "step %d (%s)" k label);
+            drive (k + 1)
+          | `Done -> ()
+        in
+        drive 1;
+        (Session.finish s, latencies_of d))
+  in
+  let probed, probed_lat = run ~probe:true config in
+  let plain, plain_lat = run ~probe:false config in
+  let label = "finished run, probed vs unprobed" in
+  diffs (report_diffs ~label probed.Session.report plain.Session.report);
+  if probed.Session.stop_reason <> plain.Session.stop_reason then
+    fail "%s: stop_reason %S vs %S" label probed.Session.stop_reason plain.Session.stop_reason;
+  if probed.Session.rolled_back <> plain.Session.rolled_back then
+    fail "%s: rolled_back %b vs %b" label probed.Session.rolled_back plain.Session.rolled_back;
+  List.iter2
+    (fun (name, lp) (_, lu) ->
+      if bits lp <> bits lu then
+        fail "%s: flip-flop %s latency not bit-identical (%.17g vs %.17g)" label name lp lu)
+    probed_lat plain_lat;
+  (* and the scores, the checkpoints' own included, leave the live timer
+     where they found it: the trajectory is bitwise that of a run that
+     scores nothing *)
+  let unscored, _ = run ~probe:false { config with Session.rollback = false } in
+  let point (p : Session.trace_point) =
+    List.map bits
+      [ p.Session.wns_early; p.Session.tns_early; p.Session.wns_late; p.Session.tns_late ]
+  in
+  if List.map point probed.Session.trace <> List.map point unscored.Session.trace then
+    fail "trajectory differs from a run that scores no checkpoints (%d vs %d points)"
+      (List.length probed.Session.trace)
+      (List.length unscored.Session.trace);
   List.rev !failures
 
 (* ------------------------------------------------------------------ *)

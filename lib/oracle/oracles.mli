@@ -149,6 +149,26 @@ val check_eco_identity :
   algo:Css_flow.Flow.algo ->
   string list
 
+(** [check_checkpoint_scores ?config design ~algo] proves the live-timer
+    checkpoint score is exact: it drives a session on a clone of
+    [design] through {!Css_flow.Session.open_}, every
+    {!Css_flow.Session.step} and {!Css_flow.Session.finish}, and after
+    the open and after every step requires {!Css_flow.Session.score} to
+    be {e bit-identical}, field by field, to a fresh
+    {!Css_eval.Evaluator.evaluate} of the session's design (with the
+    session's timer setup). The finished result (report, stop reason,
+    rollback decision) and the per-flip-flop latencies must be
+    bit-identical to a run on another clone that never asked for a
+    score, and the trajectory ([result.trace]) bit-identical to a run
+    with [rollback = false], which scores no checkpoints at all. A
+    mismatch is a Timer incremental-update defect. [config]'s
+    persistence and debug knobs are overridden. *)
+val check_checkpoint_scores :
+  ?config:Css_flow.Session.config ->
+  Css_netlist.Design.t ->
+  algo:Css_flow.Session.algo ->
+  string list
+
 (** How a corrupted input was absorbed by the pipeline. *)
 type verdict =
   | Rejected of string

@@ -201,7 +201,11 @@ let design t = t.design
 let num_nodes t = Array.length t.node_pin
 let num_arcs t = Array.length t.a_from
 
-let node_of_pin t p = if t.node_of_pin.(p) < 0 then None else Some t.node_of_pin.(p)
+(* Pins created after the build (LCBs that CTS guidance adds) lie past
+   the table; they are clock-side, so never data-graph nodes. *)
+let node_of_pin t p =
+  if p >= Array.length t.node_of_pin || t.node_of_pin.(p) < 0 then None
+  else Some t.node_of_pin.(p)
 
 let pin_of_node t n = t.node_pin.(n)
 let level t n = t.level.(n)

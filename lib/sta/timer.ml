@@ -431,7 +431,11 @@ let update_moved_cells t cells =
   let moved_ffs = ref [] in
   List.iter
     (fun c ->
-      if Design.is_ff d c then moved_ffs := c :: !moved_ffs;
+      if Design.is_ff d c then moved_ffs := c :: !moved_ffs
+      else if Design.is_lcb d c && Design.lcb_fanout d c > 0 then
+        (* a moved or resized LCB changes the branch delay to each of its
+           FFs (a netless LCB, possible after lenient parsing, has none) *)
+        moved_ffs := List.rev_append (Design.ffs_of_lcb d c) !moved_ffs;
       let master = Design.cell_master d c in
       List.iter
         (fun pn ->
@@ -440,7 +444,8 @@ let update_moved_cells t cells =
         (master.Cell.inputs @ master.Cell.outputs))
     cells;
   Hashtbl.iter (fun net () -> touch_net net) nets;
-  (* FFs that moved see a different LCB branch length, i.e. latency. *)
+  (* FFs that moved, or whose LCB did, see a different LCB branch
+     length, i.e. latency. *)
   List.iter
     (fun ff ->
       add_node fwd (Design.cell_pin d ff "Q");

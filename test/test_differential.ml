@@ -102,6 +102,101 @@ let eco_identity_prop =
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
 
+(* {2 Checkpoint scores: live timer = fresh evaluation} *)
+
+module Session = Css_flow.Session
+module Point = Css_geometry.Point
+
+let checkpoint_algos = [ Session.Ours; Session.Ours_early; Session.Iccss_plus; Session.Fpm ]
+
+let checkpoint_configs =
+  [
+    ("default", Session.default_config);
+    ("resize", { Session.default_config with Session.use_resize = true });
+    ("cts", { Session.default_config with Session.use_cts = true });
+    ("jobs2", { Session.default_config with Session.jobs = 2 });
+  ]
+
+(* every phase boundary of profiles x algorithms x configurations: the
+   live-timer score must equal a fresh evaluation bitwise *)
+let test_checkpoint_scores_sweep () =
+  List.iter
+    (fun profile ->
+      let design = Generator.generate profile in
+      List.iter
+        (fun algo ->
+          List.iter
+            (fun (cname, config) ->
+              fail_all
+                (Printf.sprintf "checkpoint/%s/%s/%s" profile.Profile.name
+                   (Session.algo_name algo) cname)
+                (Oracles.check_checkpoint_scores ~config design ~algo))
+            checkpoint_configs)
+        checkpoint_algos)
+    (profiles 424242)
+
+(* an input whose flip-flops arrive with scheduled latencies: the live
+   timer is not the contest view, so scoring takes them out for the read *)
+let test_checkpoint_scores_held () =
+  let design = Generator.generate { Profile.tiny with Profile.seed = 424242 } in
+  Array.iteri
+    (fun i ff ->
+      let lo, hi = Design.latency_bounds design ff in
+      Design.set_scheduled_latency design ff (Float.min hi (lo +. float_of_int (1 + (i mod 7)))))
+    (Design.ffs design);
+  let probe = Session.open_ ~algo:Session.Ours (Css_flow.Flow.clone design) in
+  let held =
+    let d = Session.design probe in
+    Array.exists (fun ff -> Design.scheduled_latency d ff <> 0.0) (Design.ffs d)
+  in
+  Session.close probe;
+  checkb "input holds scheduled latencies at open" true held;
+  List.iter
+    (fun algo ->
+      fail_all
+        (Printf.sprintf "checkpoint-held/%s" (Session.algo_name algo))
+        (Oracles.check_checkpoint_scores design ~algo))
+    checkpoint_algos
+
+(* a delta that moves an LCB re-times every flip-flop it drives: the
+   warm session's live timer, which scores the delta run's [start]
+   checkpoint, must read what a fresh timer on the edited design reads *)
+let test_lcb_move_delta_retimes () =
+  let design = Generator.generate { Profile.tiny with Profile.seed = 424242 } in
+  let s = Session.open_ ~algo:Session.Ours design in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      ignore (Session.finish s);
+      let d = Session.design s in
+      Array.iter
+        (fun lcb ->
+          let pos = Design.cell_pos d lcb in
+          let move =
+            Session.Move_cell
+              { cell = Design.cell_name d lcb; x = pos.Point.x +. 150.0; y = pos.Point.y }
+          in
+          let fresh =
+            match Session.stage ~timer:Timer.default_config (Css_flow.Flow.clone d) [ move ] with
+            | Ok sg -> Timer.build sg.Session.sg_design
+            | Error _ -> Alcotest.fail "LCB move rejected by stage"
+          in
+          match Session.apply_delta s [ move ] with
+          | Error _ -> Alcotest.fail "LCB move rejected"
+          | Ok o ->
+            let start = List.hd o.Session.d_result.Session.trace in
+            let bits = Int64.bits_of_float in
+            checkb
+              (Design.cell_name d lcb ^ " moved: start point = fresh timer")
+              true
+              (List.map bits
+                 [ start.Session.wns_early; start.Session.tns_early; start.Session.wns_late;
+                   start.Session.tns_late ]
+              = List.map bits
+                  [ Timer.wns fresh Timer.Early; Timer.tns fresh Timer.Early;
+                    Timer.wns fresh Timer.Late; Timer.tns fresh Timer.Late ]))
+        (Design.lcbs d))
+
 (* {2 The fault corpus: random fault sequences, shrunk on failure} *)
 
 let base_corpus () =
@@ -294,6 +389,15 @@ let () =
           QCheck_alcotest.to_alcotest jobs_identity_prop;
         ] );
       ("eco", [ QCheck_alcotest.to_alcotest eco_identity_prop ]);
+      ( "checkpoint",
+        [
+          Alcotest.test_case "live score = fresh evaluation sweep" `Quick
+            test_checkpoint_scores_sweep;
+          Alcotest.test_case "scheduled-latency input scored out" `Quick
+            test_checkpoint_scores_held;
+          Alcotest.test_case "LCB move delta re-times its flip-flops" `Quick
+            test_lcb_move_delta_retimes;
+        ] );
       ( "resume",
         [
           Alcotest.test_case "identity sweep (3 profiles x 3 algos)" `Quick

@@ -72,6 +72,53 @@ let test_summary_renders () =
   let s = Evaluator.summary (Evaluator.evaluate design) in
   checkb "non-empty" true (String.length s > 20)
 
+(* a design the fresh timer cannot build (a grafted combinational loop):
+   the evaluator raises, and the scheduled latencies it stashed for the
+   build must be back in place *)
+let test_evaluate_restores_on_raise () =
+  let text = Css_netlist.Io.to_string (Generator.micro ()) in
+  let corrupted, _ =
+    Css_benchgen.Mutator.corrupt Css_benchgen.Mutator.Comb_loop (Css_util.Rng.create 3) text
+  in
+  let design =
+    Css_netlist.Io.of_string_exn ~library:Css_liberty.Library.default corrupted
+  in
+  let ffs = Design.ffs design in
+  Array.iteri (fun i ff -> Design.set_scheduled_latency design ff (float_of_int (i + 1))) ffs;
+  let sum () = Array.fold_left (fun acc ff -> acc +. Design.scheduled_latency design ff) 0.0 ffs in
+  let expected = sum () in
+  checkb "the input holds latencies" true (expected > 0.0);
+  (match Evaluator.evaluate design with
+  | _ -> Alcotest.fail "a combinational cycle should not evaluate"
+  | exception Failure _ -> ());
+  checkf 0.0 "scheduled latencies restored" expected (sum ());
+  Array.iteri
+    (fun i ff ->
+      checkf 0.0 "per-FF latency restored" (float_of_int (i + 1))
+        (Design.scheduled_latency design ff))
+    ffs
+
+(* [score] on an up-to-date timer is the fresh evaluation, also when a
+   flip-flop holds a scheduled latency the live timer sees and the
+   contest does not; the timer and the design end as they began *)
+let test_score_matches_evaluate () =
+  let design = Generator.generate Profile.tiny in
+  let timer = Timer.build design in
+  checkb "equal to the fresh evaluation" true (Evaluator.score timer = Evaluator.evaluate design);
+  let ff = (Design.ffs design).(0) in
+  Design.set_scheduled_latency design ff 25.0;
+  Timer.update_latencies timer [ ff ];
+  let live = Evaluator.timing timer in
+  let scored = Evaluator.score timer in
+  checkb "the live view differs from the contest view" true
+    (live <> { scored with Evaluator.constraint_errors = [] });
+  checkb "held latency scored out" true (scored = Evaluator.evaluate design);
+  checkf 0.0 "latency put back" 25.0 (Design.scheduled_latency design ff);
+  checkb "timer back where it began" true (Evaluator.timing timer = live);
+  let cfg = { Evaluator.default_config with Evaluator.include_scheduled = true } in
+  checkb "include_scheduled reads the live view" true
+    (Evaluator.score ~config:cfg timer = Evaluator.evaluate ~config:cfg design)
+
 (* ------------------------------------------------------------------ *)
 (* Report / histogram *)
 
@@ -133,6 +180,10 @@ let () =
           Alcotest.test_case "fanout violation" `Quick test_detects_fanout_violation;
           Alcotest.test_case "violation counts (micro)" `Quick test_violation_counts;
           Alcotest.test_case "summary renders" `Quick test_summary_renders;
+          Alcotest.test_case "restores latencies when it raises" `Quick
+            test_evaluate_restores_on_raise;
+          Alcotest.test_case "score = evaluate on a live timer" `Quick
+            test_score_matches_evaluate;
         ] );
       ( "report",
         [

@@ -4,6 +4,7 @@
 module Design = Css_netlist.Design
 module Evaluator = Css_eval.Evaluator
 module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 module Persist = Css_flow.Persist
 module Budget = Css_util.Budget
 module Diag = Css_util.Diag
@@ -151,6 +152,51 @@ let test_flow_with_cts () =
     (r.Flow.report.Evaluator.tns_late > before.Evaluator.tns_late);
   checkb "CTS flow still improves early" true
     (r.Flow.report.Evaluator.tns_early >= before.Evaluator.tns_early)
+
+(* rollback after CTS guidance: restoring a checkpoint resyncs every
+   cell, including the LCBs the guidance added after the timer's graph
+   was built *)
+let test_cts_rollback_finishes () =
+  List.iter
+    (fun algo ->
+      let design = Generator.generate (Option.get (Profile.by_name "sb5")) in
+      let config = { Session.default_config with Session.use_cts = true } in
+      let s = Session.open_ ~config ~algo design in
+      let r = Fun.protect ~finally:(fun () -> Session.close s) (fun () -> Session.finish s) in
+      checkb
+        (Session.algo_name algo ^ ": constraints hold after CTS")
+        true
+        (r.Session.report.Evaluator.constraint_errors = []))
+    [ Session.Ours; Session.Iccss_plus ]
+
+(* checkpoint scoring and the final evaluation each sit in their own
+   span: one score at open and one per phase, one final evaluation *)
+let test_eval_spans () =
+  let obs = Css_util.Obs.create () in
+  let config = { Session.default_config with Session.obs } in
+  let s = Session.open_ ~config ~algo:Session.Ours (Flow.clone (Lazy.force base_design)) in
+  let phases = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Session.close s)
+    (fun () ->
+      let rec drive () =
+        match Session.step s with
+        | `Phase _ ->
+          incr phases;
+          drive ()
+        | `Done -> ()
+      in
+      drive ();
+      ignore (Session.finish s));
+  let count name =
+    List.fold_left
+      (fun acc (path, _, n) ->
+        if path = name || String.ends_with ~suffix:("/" ^ name) path then acc + n else acc)
+      0 (Css_util.Obs.spans obs)
+  in
+  checkb "ran phases" true (!phases > 0);
+  checki "checkpoint-score spans" (!phases + 1) (count "checkpoint-score");
+  checki "final-eval spans" 1 (count "final-eval")
 
 (* {2 Durable checkpoints, budgets and resume} *)
 
@@ -383,6 +429,8 @@ let () =
           Alcotest.test_case "resize flag" `Quick test_flow_with_resize;
           Alcotest.test_case "cts flag" `Quick test_flow_with_cts;
           Alcotest.test_case "micro end-to-end" `Quick test_flow_on_micro;
+          Alcotest.test_case "rollback after CTS guidance" `Quick test_cts_rollback_finishes;
+          Alcotest.test_case "checkpoint-score and final-eval spans" `Quick test_eval_spans;
         ] );
       ( "robustness",
         [

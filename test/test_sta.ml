@@ -304,6 +304,24 @@ let test_incremental_ff_move_updates_latency () =
   checkb "moving an FF changes its clock arrival" true (after > before);
   checkb "matches full rebuild" true (states_equal t (Timer.build d))
 
+(* an LCB's position sets the physical latency of every FF it drives:
+   moving it must re-time their launch and capture cones *)
+let test_incremental_lcb_move_updates_latency () =
+  let design = Generator.generate Profile.tiny in
+  let t = Timer.build design in
+  Array.iter
+    (fun lcb ->
+      let pos = Design.cell_pos design lcb in
+      Design.move_cell design lcb
+        (Css_geometry.Rect.clamp (Design.die design)
+           (Point.make (pos.Point.x +. 150.) (pos.Point.y -. 120.)));
+      Timer.update_moved_cells t [ lcb ];
+      checkb
+        (Printf.sprintf "%s move incremental = full" (Design.cell_name design lcb))
+        true
+        (states_equal t (Timer.build design)))
+    (Design.lcbs design)
+
 (* ------------------------------------------------------------------ *)
 (* Cone enumeration *)
 
@@ -442,6 +460,8 @@ let () =
           Alcotest.test_case "move update = full" `Quick test_incremental_move_update_equals_full;
           Alcotest.test_case "ff move updates latency" `Quick
             test_incremental_ff_move_updates_latency;
+          Alcotest.test_case "lcb move updates its ffs' latency" `Quick
+            test_incremental_lcb_move_updates_latency;
         ] );
       ( "cones",
         [
