@@ -20,11 +20,12 @@ let build ~n ~fixed ~out_weight (vw : Seq_graph.view) =
     up v
   in
   (* ascending weight order; stable sort of an index array keeps ties in
-     insertion order, deterministically *)
+     insertion order, deterministically. [Float.compare] is the total
+     order polymorphic [compare] gives floats, NaN included. *)
   let m = vw.Seq_graph.v_n in
   let order = Array.init m Fun.id in
   let w = vw.Seq_graph.v_w in
-  Array.stable_sort (fun a b -> compare w.(a) w.(b)) order;
+  Array.stable_sort (fun a b -> Float.compare w.(a) w.(b)) order;
   for i = 0 to m - 1 do
     let e = order.(i) in
     let u = vw.Seq_graph.v_src.(e) and v = vw.Seq_graph.v_dst.(e) in

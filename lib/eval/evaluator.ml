@@ -60,8 +60,8 @@ let timing timer =
     tns_early = Timer.tns timer Timer.Early;
     wns_late = Timer.wns timer Timer.Late;
     tns_late = Timer.tns timer Timer.Late;
-    num_early_violations = List.length (Timer.violated_endpoints timer Timer.Early);
-    num_late_violations = List.length (Timer.violated_endpoints timer Timer.Late);
+    num_early_violations = Timer.num_violations timer Timer.Early;
+    num_late_violations = Timer.num_violations timer Timer.Late;
     hpwl = Design.total_hpwl (Timer.design timer);
     constraint_errors = [];
   }

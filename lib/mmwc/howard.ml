@@ -15,16 +15,13 @@ let eps = 1e-9
    gain/bias tie tests therefore use a relative epsilon. *)
 let tol a b = eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-let min_mean_cycle_scc sub =
-  let n = Digraph.num_vertices sub in
-  (* out-edge arrays *)
-  let out = Array.make n [] in
-  for u = 0 to n - 1 do
-    let lst = ref [] in
-    Digraph.iter_out sub u (fun v w -> lst := (v, w) :: !lst);
-    out.(u) <- !lst
-  done;
-  let policy = Array.map (fun l -> List.hd l) out in
+(* [sub] is one strongly connected component; [policy.(u)] is the CSR
+   position of u's chosen out-edge. Out-edges are scanned in insertion
+   order, the order the list-based kernel used, so ties resolve the
+   same way. *)
+let min_mean_cycle_scc (sub : Digraph.t) =
+  let n = sub.n and off = sub.off and dst = sub.dst and wt = sub.wt in
+  let policy = Array.sub off 0 n in
   let gain = Array.make n 0.0 in
   let bias = Array.make n 0.0 in
   (* value determination: walk the policy's functional graph *)
@@ -40,7 +37,7 @@ let min_mean_cycle_scc sub =
           state.(!v) <- 1;
           order.(!depth) <- !v;
           incr depth;
-          v := fst policy.(!v)
+          v := dst.(policy.(!v))
         done;
         if state.(!v) = 1 then begin
           (* closed a new cycle at !v: compute its mean *)
@@ -48,9 +45,9 @@ let min_mean_cycle_scc sub =
           let u = ref !v in
           let continue_ = ref true in
           while !continue_ do
-            total := !total +. snd policy.(!u);
+            total := !total +. wt.(policy.(!u));
             incr len;
-            u := fst policy.(!u);
+            u := dst.(policy.(!u));
             if !u = !v then continue_ := false
           done;
           let lambda = !total /. float_of_int !len in
@@ -60,21 +57,21 @@ let min_mean_cycle_scc sub =
           state.(!v) <- 2;
           (* walking forward: bias(prev) = w(prev,u) - lambda + bias(u),
              i.e. bias(u) = bias(prev) - (w(prev,u) - lambda) *)
-          let u = ref (fst policy.(!v)) in
+          let u = ref dst.(policy.(!v)) in
           let prev = ref !v in
           while !u <> !v do
-            bias.(!u) <- bias.(!prev) -. (snd policy.(!prev) -. lambda);
+            bias.(!u) <- bias.(!prev) -. (wt.(policy.(!prev)) -. lambda);
             gain.(!u) <- lambda;
             state.(!u) <- 2;
             prev := !u;
-            u := fst policy.(!u)
+            u := dst.(policy.(!u))
           done
         end;
         (* unwind the walked path (suffix may already be done) *)
         for i = !depth - 1 downto 0 do
           let u = order.(i) in
           if state.(u) <> 2 then begin
-            let succ, w = policy.(u) in
+            let succ = dst.(policy.(u)) and w = wt.(policy.(u)) in
             gain.(u) <- gain.(succ);
             bias.(u) <- (w -. gain.(succ)) +. bias.(succ);
             state.(u) <- 2
@@ -87,18 +84,18 @@ let min_mean_cycle_scc sub =
   let improve () =
     let changed = ref false in
     for u = 0 to n - 1 do
-      List.iter
-        (fun (v, w) ->
-          let cand_bias = w -. gain.(u) +. bias.(v) in
-          if
-            gain.(v) < gain.(u) -. tol gain.(v) gain.(u)
-            || (Float.abs (gain.(v) -. gain.(u)) <= tol gain.(v) gain.(u)
-               && cand_bias < bias.(u) -. tol cand_bias bias.(u))
-          then begin
-            policy.(u) <- (v, w);
-            changed := true
-          end)
-        out.(u)
+      for e = off.(u) to off.(u + 1) - 1 do
+        let v = dst.(e) and w = wt.(e) in
+        let cand_bias = w -. gain.(u) +. bias.(v) in
+        if
+          gain.(v) < gain.(u) -. tol gain.(v) gain.(u)
+          || (Float.abs (gain.(v) -. gain.(u)) <= tol gain.(v) gain.(u)
+             && cand_bias < bias.(u) -. tol cand_bias bias.(u))
+        then begin
+          policy.(u) <- e;
+          changed := true
+        end
+      done
     done;
     !changed
   in
@@ -120,38 +117,37 @@ let min_mean_cycle_scc sub =
   while seen.(!v) < 0 do
     seen.(!v) <- !steps;
     incr steps;
-    v := fst policy.(!v)
+    v := dst.(policy.(!v))
   done;
   let start = !v in
   let cycle = ref [ start ] in
-  let u = ref (fst policy.(start)) in
+  let u = ref dst.(policy.(start)) in
   while !u <> start do
     cycle := !u :: !cycle;
-    u := fst policy.(!u)
+    u := dst.(policy.(!u))
   done;
-  Some (gain.(!best_v), List.rev !cycle)
+  (gain.(!best_v), List.rev !cycle)
 
-let min_mean_cycle g =
+let min_mean_cycle (g : Digraph.t) =
   (* A single NaN or infinite weight silently corrupts every mean and
-     bias it touches; reject the graph loudly instead. *)
-  List.iter
-    (fun (u, v, w) ->
+     bias it touches; reject the graph loudly instead. The scan follows
+     [Digraph.edges] order, so the first bad edge is the one reported. *)
+  for u = 0 to g.n - 1 do
+    for e = g.off.(u) to g.off.(u + 1) - 1 do
+      let w = g.wt.(e) in
       if not (Float.is_finite w) then
         invalid_arg
-          (Printf.sprintf "Howard.min_mean_cycle: non-finite weight %g on edge %d->%d" w u v))
-    (Digraph.edges g);
-  let sccs = Scc.nontrivial g in
-  List.fold_left
-    (fun acc members ->
-      let sub, old_of_new = Digraph.induced g members in
-      match min_mean_cycle_scc sub with
-      | None -> acc
-      | Some (mean, cyc) ->
-        let cyc = List.map (fun v -> old_of_new.(v)) cyc in
-        (match acc with
-        | Some (best, _) when best <= mean -> acc
-        | Some _ | None -> Some (mean, cyc)))
-    None sccs
+          (Printf.sprintf "Howard.min_mean_cycle: non-finite weight %g on edge %d->%d" w u
+             g.dst.(e))
+    done
+  done;
+  Array.fold_left
+    (fun acc (sub, old_of_new) ->
+      let mean, cyc = min_mean_cycle_scc sub in
+      match acc with
+      | Some (best, _) when best <= mean -> acc
+      | Some _ | None -> Some (mean, List.map (fun v -> old_of_new.(v)) cyc))
+    None (Scc.split g)
 
 let max_mean_cycle g =
   let neg =

@@ -71,10 +71,8 @@ let min_mean_cycle_scc sub =
   end
 
 let min_mean_cycle g =
-  let sccs = Scc.nontrivial g in
-  List.fold_left
-    (fun acc members ->
-      let sub, old_of_new = Digraph.induced g members in
+  Array.fold_left
+    (fun acc (sub, old_of_new) ->
       match min_mean_cycle_scc sub with
       | None -> acc
       | Some (mean, cyc) ->
@@ -82,7 +80,7 @@ let min_mean_cycle g =
         (match acc with
         | Some (best, _) when best <= mean -> acc
         | Some _ | None -> Some (mean, cyc)))
-    None sccs
+    None (Scc.split g)
 
 let max_mean_cycle g =
   let neg = Digraph.make ~n:(Digraph.num_vertices g) (List.map (fun (u, v, w) -> (u, v, -.w)) (Digraph.edges g)) in

@@ -9,6 +9,14 @@
     order of the condensation. *)
 val components : Digraph.t -> int array * int
 
+(** [split g] is the induced subgraph of every SCC that contains a cycle
+    (size >= 2, or a single vertex with a self-loop), in component-id
+    order, each with its map from local to original vertex ids (local
+    ids ascend with the original ones; see {!Digraph.split}). One
+    O(n + m) pass after Tarjan; nothing is allocated per acyclic
+    component. *)
+val split : Digraph.t -> (Digraph.t * int array) array
+
 (** [nontrivial g] lists the vertex sets of SCCs that contain a cycle
-    (size >= 2, or a single vertex with a self-loop). *)
+    (size >= 2, or a single vertex with a self-loop), each ascending. *)
 val nontrivial : Digraph.t -> int list list

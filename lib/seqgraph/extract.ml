@@ -171,27 +171,38 @@ let full_extract t =
    already explained by a stored edge: either it was never walked, or a
    previously positive (unextracted) path has turned negative. The
    selection runs sequentially against the pre-round graph — each
-   endpoint appears at most once in [violated_endpoints], so this
-   round's insertions can never change another endpoint's test and the
-   cut is the same one the fully sequential loop makes. *)
+   endpoint is tested once, so this round's insertions can never change
+   another endpoint's test and the cut is the same one the fully
+   sequential loop makes.
+
+   Filter, then sort: only the endpoints that need a walk are sorted,
+   worst first. They are gathered in the order
+   [Timer.violated_endpoints] builds its list (endpoint array reversed)
+   and sorted by the same stable comparison, and a stable sort of a
+   subsequence is the matching subsequence of the sorted whole — the
+   same endpoints, in the same order, as filtering the sorted list of
+   every violated endpoint. *)
 let essential_round ?(limit = max_int) t =
   t.stats.rounds <- t.stats.rounds + 1;
   Obs.incr t.oc.o_rounds;
   let corner = Seq_graph.corner t.graph in
-  let selected = ref [] in
-  let walked = ref 0 in
-  List.iter
-    (fun (endpoint, slack) ->
-      let known = Seq_graph.min_weight_from_endpoint t.graph endpoint in
-      if !walked < limit && slack < known -. 1e-6 then begin
-        incr walked;
-        selected := endpoint :: !selected
-      end)
-    (Timer.violated_endpoints t.timer corner);
-  let selected = Array.of_list (List.rev !selected) in
+  let g = Timer.graph t.timer in
+  let stale =
+    Array.fold_left
+      (fun acc node ->
+        let slack = Timer.slack t.timer corner node in
+        if slack < 0.0 then begin
+          let endpoint = Graph.endpoint_of_node g node in
+          let known = Seq_graph.min_weight_from_endpoint t.graph endpoint in
+          if slack < known -. 1e-6 then (endpoint, slack) :: acc else acc
+        end
+        else acc)
+      [] (Graph.endpoints g)
+  in
+  let worst_first = List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) stale in
+  let selected = Array.of_list (List.filteri (fun i _ -> i < limit) (List.map fst worst_first)) in
   let n = Array.length selected in
   Obs.add t.oc.o_endpoints n;
-  let g = Timer.graph t.timer in
   let shards =
     walk t ~n (fun ctx i ->
         let endpoint = selected.(i) in

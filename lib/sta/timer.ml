@@ -467,7 +467,7 @@ let arrival t corner n = match corner with Late -> t.at_max.(n) | Early -> t.at_
 
 let required t corner n = match corner with Late -> t.rat_late.(n) | Early -> t.rat_early.(n)
 
-let slack t corner n =
+let[@inline] slack t corner n =
   match corner with
   | Late ->
     if t.at_max.(n) = neg_infinity || t.rat_late.(n) = infinity then infinity
@@ -537,6 +537,14 @@ let tns t corner =
     if s < 0.0 then fs.s_acc <- fs.s_acc +. s
   done;
   fs.s_acc
+
+let num_violations t corner =
+  let eps = Graph.endpoints t.graph in
+  let count = ref 0 in
+  for i = 0 to Array.length eps - 1 do
+    if slack t corner (Array.unsafe_get eps i) < 0.0 then incr count
+  done;
+  !count
 
 let violated_endpoints t corner =
   let vs =

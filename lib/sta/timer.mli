@@ -127,6 +127,11 @@ val edge_slack :
 val wns : t -> corner -> float
 val tns : t -> corner -> float
 
+(** [num_violations t corner] is the number of endpoints with negative
+    slack: [List.length (violated_endpoints t corner)] without building
+    or sorting the list. *)
+val num_violations : t -> corner -> int
+
 (** [violated_endpoints t corner] are endpoints with negative slack,
     worst first. *)
 val violated_endpoints : t -> corner -> (Graph.endpoint * float) list

@@ -595,6 +595,71 @@ let test_scheduler_ring_restore_matches_design () =
         (Design.scheduled_latency design ff))
     (Design.ffs design)
 
+(* Whole-run identity: [run_ours] late then early on three designs must
+   reproduce these bit patterns exactly — final WNS/TNS at both corners,
+   iteration and cycle counts, every FF's scheduled latency, and each
+   corner's extracted graph (edge insertion order and final weights).
+   The goldens were recorded before the array-backed cycle kernel and
+   filter-first endpoint selection replaced the list-based code, so they
+   pin that both are pure refactors. A deliberate algorithm change
+   re-records them and says so in CHANGES.md. *)
+let fnv h b = Int64.mul (Int64.logxor h b) 0x100000001b3L
+let fnv0 = 0xcbf29ce484222325L
+
+let trajectory profile =
+  let design = Generator.generate profile in
+  let timer = Timer.build design in
+  (* [Engine.run_ours], spelled out to keep hold of the graph *)
+  let run corner =
+    let extraction, _ = Engine.ours timer ~corner in
+    let result = Scheduler.run timer extraction in
+    let g = extraction.Scheduler.graph in
+    let edges = ref fnv0 in
+    Seq_graph.iter_edges g (fun id ->
+        edges := fnv !edges (Int64.of_int (Seq_graph.src g id));
+        edges := fnv !edges (Int64.of_int (Seq_graph.dst g id));
+        edges := fnv !edges (Int64.bits_of_float (Seq_graph.weight g id)));
+    (result, !edges)
+  in
+  let late, late_edges = run Timer.Late in
+  let early, early_edges = run Timer.Early in
+  let lat =
+    Array.fold_left
+      (fun h ff -> fnv h (Int64.bits_of_float (Design.scheduled_latency design ff)))
+      fnv0 (Design.ffs design)
+  in
+  Printf.sprintf
+    "wns_late=%h tns_late=%h wns_early=%h tns_early=%h it=%d/%d cyc=%d/%d lat=%016Lx \
+     edges=%016Lx/%016Lx"
+    (Timer.wns timer Timer.Late) (Timer.tns timer Timer.Late) (Timer.wns timer Timer.Early)
+    (Timer.tns timer Timer.Early) late.Scheduler.iterations early.Scheduler.iterations
+    late.Scheduler.cycles_handled early.Scheduler.cycles_handled lat late_edges early_edges
+
+let golden_trajectories =
+  [
+    ( "tiny",
+      "wns_late=-0x1.2e4e609df92fp+8 tns_late=-0x1.3b13c69c115fap+9 wns_early=0x0p+0 \
+       tns_early=0x0p+0 it=3/2 cyc=1/0 lat=9b324962b54690ac \
+       edges=8aab09786f606a7a/508c04513fbb0d77" );
+    ( "sb5",
+      "wns_late=-0x1.dfa028da906fcp+8 tns_late=-0x1.6316e17d42736p+12 \
+       wns_early=-0x1.ea02ed773fc1cp+4 tns_early=-0x1.ea02ed773fc78p+4 it=100/2 cyc=6/0 \
+       lat=179153ed36c65c04 edges=a2bd615e05adab96/67baabdc5c7c0403" );
+    ( "sb18",
+      "wns_late=-0x1.0aa68b3c9cfa2p+9 tns_late=-0x1.06b8509785fc8p+13 \
+       wns_early=-0x1.ce171a43dcacp+3 tns_early=-0x1.ce171a43dcaep+3 it=100/2 cyc=4/0 \
+       lat=7b325224f42d8ae9 edges=74aa068b982f2894/475d108d7eaf16df" );
+  ]
+
+let test_kernel_trajectories_bitwise () =
+  List.iter
+    (fun (name, want) ->
+      let profile =
+        if name = "tiny" then Profile.tiny else Option.get (Profile.by_name name)
+      in
+      Alcotest.check Alcotest.string name want (trajectory profile))
+    golden_trajectories
+
 let () =
   Alcotest.run "core"
     [
@@ -660,5 +725,7 @@ let () =
             test_scheduler_ring_never_worse_than_best;
           Alcotest.test_case "ring restore matches design" `Quick
             test_scheduler_ring_restore_matches_design;
+          Alcotest.test_case "kernel keeps trajectories bitwise" `Quick
+            test_kernel_trajectories_bitwise;
         ] );
     ]

@@ -233,6 +233,26 @@ let test_net_iteration_allocation_free () =
     (allocated < 256.0);
   checkb "loop ran" true (!count <> 0)
 
+let test_num_violations_allocation_free () =
+  let d = gen 29 in
+  let timer = Css_sta.Timer.build d in
+  let n_endpoints = Array.length (Css_sta.Graph.endpoints (Css_sta.Timer.graph timer)) in
+  let count = ref 0 in
+  count := Css_sta.Timer.num_violations timer Css_sta.Timer.Late;
+  let before = Gc.minor_words () in
+  for _ = 1 to 50 do
+    count := !count + Css_sta.Timer.num_violations timer Css_sta.Timer.Late;
+    count := !count + Css_sta.Timer.num_violations timer Css_sta.Timer.Early
+  done;
+  let allocated = Gc.minor_words () -. before in
+  (* [Timer.slack] is inlined into the scan, so not even the slack is
+     boxed: no word per endpoint and none per violation *)
+  checkb
+    (Printf.sprintf "num_violations allocation-free (%.0f minor words over %d endpoints x 100)"
+       allocated n_endpoints)
+    true (allocated < 256.0);
+  checkb "violations counted" true (!count > 0)
+
 let test_ff_index_is_dense () =
   let d = gen 23 in
   let ffs = Design.ffs d in
@@ -260,5 +280,6 @@ let () =
           Alcotest.test_case "pin accessors" `Quick test_accessors_allocation_free;
           Alcotest.test_case "net iteration" `Quick test_net_iteration_allocation_free;
           Alcotest.test_case "ff_index dense" `Quick test_ff_index_is_dense;
+          Alcotest.test_case "num_violations" `Quick test_num_violations_allocation_free;
         ] );
     ]

@@ -228,6 +228,84 @@ let test_mean_is_lower_bound () =
       done
   done
 
+(* ------------------------------------------------------------------ *)
+(* The CSR kernel against the list-based kernel it replaced *)
+
+(* Up to 60 vertices and up to 4n edges, sparse often enough that most
+   components are singletons; parallel edges, self-loops, and three weights in four on
+   a coarse integer grid so exact ties (including mean ties between
+   components) are common. *)
+let kernel_graph seed =
+  let rng = Rng.create seed in
+  let n = Rng.int_in rng 1 60 in
+  let weight () =
+    if Rng.int rng 4 > 0 then float_of_int (Rng.int_in rng (-2) 2) else Rng.float_in rng (-10.0) 10.0
+  in
+  let edges = ref [] in
+  for _ = 1 to Rng.int_in rng 0 (Rng.int_in rng 1 4 * n) do
+    let u = Rng.int rng n in
+    let v = if Rng.int rng 8 = 0 then u else Rng.int rng n in
+    let e = (u, v, weight ()) in
+    edges := e :: !edges;
+    if Rng.int rng 6 = 0 then edges := (u, v, weight ()) :: !edges
+  done;
+  (n, !edges)
+
+let same_answer a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (m1, c1), Some (m2, c2) -> Int64.equal (Int64.bits_of_float m1) (Int64.bits_of_float m2) && c1 = c2
+  | _ -> false
+
+let kernel_matches_reference_prop =
+  QCheck.Test.make ~name:"CSR kernel = list-based reference, bitwise" ~count:5000
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
+    (fun seed ->
+      let n, edges = kernel_graph seed in
+      let g = Digraph.make ~n edges and r = Mmwc_ref.Digraph.make ~n edges in
+      let out iter v =
+        let l = ref [] in
+        iter v (fun d w -> l := (d, Int64.bits_of_float w) :: !l);
+        !l
+      in
+      Digraph.edges g = Mmwc_ref.Digraph.edges r
+      && List.for_all
+           (fun v -> out (Digraph.iter_out g) v = out (Mmwc_ref.Digraph.iter_out r) v)
+           (List.init n Fun.id)
+      && Scc.components g = Mmwc_ref.Scc.components r
+      && Scc.nontrivial g = Mmwc_ref.Scc.nontrivial r
+      && same_answer (Howard.min_mean_cycle g) (Mmwc_ref.Howard.min_mean_cycle r))
+
+(* Words allocated on either heap: the list kernel's per-SCC
+   [Digraph.induced] made an n-entry array per component, which goes
+   straight to the major heap. *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_howard_allocation_linear () =
+  (* 50 disjoint 2-cycles among 100k vertices: the split is one O(n + m)
+     pass, not an O(n) array per SCC (the reference allocates >= 50n) *)
+  let n = 100_000 in
+  let edges =
+    List.concat_map (fun i -> [ (2 * i, (2 * i) + 1, -1.0 -. float_of_int i); ((2 * i) + 1, 2 * i, 0.0) ])
+      (List.init 50 (fun i -> i * 1000))
+  in
+  let g = Digraph.make ~n edges in
+  let m = Digraph.num_edges g in
+  let answer, words = allocated_words (fun () -> Howard.min_mean_cycle g) in
+  (match answer with
+  | Some (mean, cyc) ->
+    checkf 0.0 "worst 2-cycle" (-.(1.0 +. 49_000.0) /. 2.0) mean;
+    checkb "its members" true (List.sort compare cyc = [ 98_000; 98_001 ])
+  | None -> Alcotest.fail "cycle expected");
+  let budget = 16.0 *. float_of_int (n + m) in
+  checkb
+    (Printf.sprintf "allocated %.0f words, budget 16(n + m) = %.0f" words budget)
+    true (words < budget)
+
 let () =
   Alcotest.run "mmwc"
     [
@@ -259,5 +337,10 @@ let () =
           Alcotest.test_case "howard = karp on random graphs" `Quick test_howard_agrees_with_karp;
           Alcotest.test_case "howard: max variant" `Quick test_howard_max_variant;
           Alcotest.test_case "mean is a lower bound" `Quick test_mean_is_lower_bound;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest kernel_matches_reference_prop;
+          Alcotest.test_case "howard allocates O(n + m)" `Quick test_howard_allocation_linear;
         ] );
     ]

@@ -194,6 +194,26 @@ let test_wns_tns () =
   let tns = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 v in
   checkf 1e-6 "tns = sum of violations" tns (Timer.tns t Timer.Late)
 
+let test_num_violations_counts_the_list () =
+  let design = Generator.generate Profile.tiny in
+  let t = Timer.build design in
+  let check stage =
+    List.iter
+      (fun (corner, name) ->
+        checki
+          (Printf.sprintf "%s, %s: num_violations = |violated_endpoints|" stage name)
+          (List.length (Timer.violated_endpoints t corner))
+          (Timer.num_violations t corner))
+      [ (Timer.Late, "late"); (Timer.Early, "early") ]
+  in
+  check "fresh";
+  checkb "tiny violates late" true (Timer.num_violations t Timer.Late > 0);
+  (* shift every other FF so violations appear and disappear *)
+  let ffs = Array.to_list (Design.ffs design) in
+  List.iteri (fun i ff -> if i mod 2 = 0 then Design.set_scheduled_latency design ff 40.0) ffs;
+  Timer.update_latencies t ffs;
+  check "after latency update"
+
 let test_worst_path_sane () =
   let design = Generator.micro () in
   let t = Timer.build design in
@@ -450,6 +470,8 @@ let () =
           Alcotest.test_case "latency shifts slack" `Quick test_latency_shifts_slack_linearly;
           Alcotest.test_case "launch slack = w_out" `Quick test_launch_slack_is_min_outgoing;
           Alcotest.test_case "wns/tns" `Quick test_wns_tns;
+          Alcotest.test_case "num_violations = |violated_endpoints|" `Quick
+            test_num_violations_counts_the_list;
           Alcotest.test_case "worst path" `Quick test_worst_path_sane;
           Alcotest.test_case "clock uncertainty" `Quick test_clock_uncertainty_tightens_checks;
         ] );
