@@ -35,7 +35,7 @@
                        the runtime's recommended domain count)
      CSS_BENCH_JSON_ONLY   if set, run only the JSON section
      CSS_BENCH_PAPER_ONLY  if set, run only the paper-scale section
-                           (Flow.run on the "-paper" profile variants)
+                           (Session.run on the "-paper" profile variants)
      CSS_BENCH_PAPER_DESIGNS comma-separated designs for the paper-scale
                            section (default sb18-paper)
      CSS_BENCH_SKIP_BECHAMEL   if set, skip the micro-benchmarks *)
@@ -46,11 +46,10 @@ module Vertex = Css_seqgraph.Vertex
 module Extract = Css_seqgraph.Extract
 module Scheduler = Css_core.Scheduler
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 module Profile = Css_benchgen.Profile
 module Generator = Css_benchgen.Generator
 module Table = Css_util.Table
-module Stats = Css_util.Stats
 
 let scale =
   match Sys.getenv_opt "CSS_BENCH_SCALE" with
@@ -119,8 +118,8 @@ let run_benchmark profile =
         let p = { profile with Profile.seed } in
         let base = Generator.generate p in
         let initial = Evaluator.evaluate base in
-        let flows = [ Flow.Fpm; Flow.Ours_early; Flow.Iccss_plus; Flow.Ours ] in
-        (base, initial, List.map (fun algo -> Flow.run ~algo (Flow.clone base)) flows))
+        let flows = [ Session.Fpm; Session.Ours_early; Session.Iccss_plus; Session.Ours ] in
+        (base, initial, List.map (fun algo -> Session.run ~algo (Session.clone base)) flows))
       seeds
   in
   let base, _, _ = List.hd runs in
@@ -141,18 +140,18 @@ let run_benchmark profile =
         let per_seed = List.map (fun (_, _, flows) -> List.nth flows idx) runs in
         let f sel = mean (List.map sel per_seed) in
         {
-          solution = (List.hd per_seed).Flow.algo;
-          report = mean_report (List.map (fun r -> r.Flow.report) per_seed);
-          css = Some (f (fun r -> r.Flow.css_seconds));
-          opt = Some (f (fun r -> r.Flow.opt_seconds));
-          total = Some (f (fun r -> r.Flow.total_seconds));
+          solution = (List.hd per_seed).Session.algo;
+          report = mean_report (List.map (fun r -> r.Session.report) per_seed);
+          css = Some (f (fun r -> r.Session.css_seconds));
+          opt = Some (f (fun r -> r.Session.opt_seconds));
+          total = Some (f (fun r -> r.Session.total_seconds));
           edges =
             Some
-              (List.fold_left (fun a r -> a + r.Flow.extracted_edges) 0 per_seed
+              (List.fold_left (fun a r -> a + r.Session.extracted_edges) 0 per_seed
               / List.length per_seed);
-          hpwl_incr = Some (f (fun r -> r.Flow.hpwl_increase_pct));
+          hpwl_incr = Some (f (fun r -> r.Session.hpwl_increase_pct));
         })
-      [ Flow.Fpm; Flow.Ours_early; Flow.Iccss_plus; Flow.Ours ]
+      [ Session.Fpm; Session.Ours_early; Session.Iccss_plus; Session.Ours ]
   in
   (base, initial_row :: algo_rows)
 
@@ -236,13 +235,17 @@ let summary all =
   let improvement_pct metric sol =
     (* average per-design improvement of a negative-slack metric vs the
        initial state, in percent (100% = all violations removed) *)
-    let s = Stats.create () in
-    List.iter2
-      (fun r0 r1 ->
-        let v0 = metric r0.report and v1 = metric r1.report in
-        if v0 < -1e-9 then Stats.add s ((v1 -. v0) /. -.v0 *. 100.0))
-      initial (by_solution sol);
-    Stats.mean s
+    let mean, n =
+      List.fold_left2
+        (fun (mean, n) r0 r1 ->
+          let v0 = metric r0.report and v1 = metric r1.report in
+          if v0 < -1e-9 then
+            let x = (v1 -. v0) /. -.v0 *. 100.0 and n = n + 1 in
+            (mean +. ((x -. mean) /. float_of_int n), n)
+          else (mean, n))
+        (0.0, 0) initial (by_solution sol)
+    in
+    if n = 0 then nan else mean
   in
   let total_seconds sol =
     List.fold_left (fun acc r -> acc +. Option.value ~default:0.0 r.total) 0.0 (by_solution sol)
@@ -294,14 +297,14 @@ let sb18 () =
 let fig8 () =
   section "FIG 8 — iterative optimization trajectory on sb18";
   let design = Generator.generate (sb18 ()) in
-  let r = Flow.run ~algo:Flow.Ours design in
+  let r = Session.run ~algo:Session.Ours design in
   Printf.printf "round phase       iter |  early WNS  early TNS |   late WNS    late TNS\n";
   Printf.printf "----------------------------------------------------------------------\n";
   List.iter
-    (fun (pt : Flow.trace_point) ->
-      Printf.printf "%5d %-11s %4d | %10.2f %10.2f | %10.2f %11.2f\n" pt.Flow.round pt.Flow.phase
-        pt.Flow.iter pt.Flow.wns_early pt.Flow.tns_early pt.Flow.wns_late pt.Flow.tns_late)
-    r.Flow.trace;
+    (fun (pt : Session.trace_point) ->
+      Printf.printf "%5d %-11s %4d | %10.2f %10.2f | %10.2f %11.2f\n" pt.Session.round pt.Session.phase
+        pt.Session.iter pt.Session.wns_early pt.Session.tns_early pt.Session.wns_late pt.Session.tns_late)
+    r.Session.trace;
   Printf.printf
     "\n(as in the paper's Fig. 8: the early phase converges in a couple of\n\
      iterations; the first late-CSS round yields the bulk of the late TNS\n\
@@ -570,7 +573,7 @@ let bench_json () =
   write_json entries
 
 (* ------------------------------------------------------------------ *)
-(* PAPER SCALE — end-to-end Flow.run at superblue cell counts          *)
+(* PAPER SCALE — end-to-end Session.run at superblue cell counts          *)
 
 (* The curves the paper draws (CSS speedup, essential-edge ratio) are
    measured on 0.77M-1.9M-cell designs; this section reproduces them on
@@ -597,7 +600,7 @@ let paper_budget () =
     { Css_util.Budget.no_limits with Css_util.Budget.rss_bytes = Some rss_cap }
 
 let paper_scale () =
-  section "PAPER SCALE — Flow.run end-to-end at superblue cell counts";
+  section "PAPER SCALE — Session.run end-to-end at superblue cell counts";
   let module J = Obs.Json in
   let budget = paper_budget () in
   (match budget.Css_util.Budget.rss_bytes with
@@ -614,7 +617,7 @@ let paper_scale () =
       (fun name ->
         let p = Option.get (Profile.by_name name) in
         (* extraction edge ratio on the initial state, before any
-           latency moves (a fresh design: Flow.run mutates its input) *)
+           latency moves (a fresh design: Session.run mutates its input) *)
         let ratio_design = Generator.generate p in
         let ratio_timer = Timer.build ratio_design in
         let ratio_verts = Vertex.of_design ratio_design in
@@ -629,13 +632,13 @@ let paper_scale () =
         let initial = Evaluator.evaluate design in
         let obs = Obs.create () in
         let t0 = Css_util.Wall_clock.now () in
-        let config = { Flow.default_config with Flow.budget; Flow.obs = obs } in
-        let r = Flow.run ~config ~algo:Flow.Ours design in
+        let config = { Session.default_config with Session.budget; Session.obs = obs } in
+        let r = Session.run ~config ~algo:Session.Ours design in
         let wall_s = Css_util.Wall_clock.now () -. t0 in
-        if r.Flow.degradations <> [] then
+        if r.Session.degradations <> [] then
           Printf.printf "%s: budget degradations: %s (stop %s)\n%!" name
-            (String.concat ", " r.Flow.degradations)
-            r.Flow.stop_reason;
+            (String.concat ", " r.Session.degradations)
+            r.Session.stop_reason;
         let cells_per_sec = float_of_int cells /. Float.max wall_s 1e-9 in
         let peak_rss = Css_util.Rusage.peak_rss_bytes () in
         Table.add_row t
@@ -647,7 +650,7 @@ let paper_scale () =
             Printf.sprintf "%.0f" cells_per_sec;
             string_of_int (peak_rss / (1024 * 1024));
             fmt_f initial.Evaluator.tns_late;
-            fmt_f r.Flow.report.Evaluator.tns_late;
+            fmt_f r.Session.report.Evaluator.tns_late;
             Printf.sprintf "%d/%d (%.1f%%)" edges_essential edges_full
               (100.0 *. float_of_int edges_essential /. float_of_int (max 1 edges_full));
           ];
@@ -661,16 +664,16 @@ let paper_scale () =
             ("cells_per_sec", J.Float cells_per_sec);
             ("peak_rss_bytes", J.Int peak_rss);
             ("tns_late_initial", J.Float initial.Evaluator.tns_late);
-            ("tns_late_final", J.Float r.Flow.report.Evaluator.tns_late);
+            ("tns_late_final", J.Float r.Session.report.Evaluator.tns_late);
             ("tns_early_initial", J.Float initial.Evaluator.tns_early);
-            ("tns_early_final", J.Float r.Flow.report.Evaluator.tns_early);
+            ("tns_early_final", J.Float r.Session.report.Evaluator.tns_early);
             ("edges_extracted", J.Int edges_essential);
             ("edges_full", J.Int edges_full);
             ( "edge_ratio",
               J.Float (float_of_int edges_essential /. float_of_int (max 1 edges_full)) );
-            ("stop_reason", J.String r.Flow.stop_reason);
+            ("stop_reason", J.String r.Session.stop_reason);
             ( "degradations",
-              J.List (List.map (fun d -> J.String d) r.Flow.degradations) );
+              J.List (List.map (fun d -> J.String d) r.Session.degradations) );
             ( "rss_budget_bytes",
               J.Int (Option.value ~default:0 budget.Css_util.Budget.rss_bytes) );
             histograms_field obs;
@@ -772,23 +775,23 @@ let extensions () =
   in
   Table.set_aligns t Table.[ Left; Right; Right; Right; Right; Right; Right ];
   let run name config =
-    let r = Flow.run ~config ~algo:Flow.Ours (Flow.clone base) in
+    let r = Session.run ~config ~algo:Session.Ours (Session.clone base) in
     Table.add_row t
       [
         name;
-        fmt_f r.Flow.report.Evaluator.wns_early;
-        fmt_f r.Flow.report.Evaluator.tns_early;
-        fmt_f r.Flow.report.Evaluator.wns_late;
-        fmt_f r.Flow.report.Evaluator.tns_late;
-        Printf.sprintf "%.2f" r.Flow.total_seconds;
-        Printf.sprintf "%.3f" r.Flow.hpwl_increase_pct;
+        fmt_f r.Session.report.Evaluator.wns_early;
+        fmt_f r.Session.report.Evaluator.tns_early;
+        fmt_f r.Session.report.Evaluator.wns_late;
+        fmt_f r.Session.report.Evaluator.tns_late;
+        Printf.sprintf "%.2f" r.Session.total_seconds;
+        Printf.sprintf "%.3f" r.Session.hpwl_increase_pct;
       ]
   in
-  let base_cfg = Flow.default_config in
+  let base_cfg = Session.default_config in
   run "paper flow (reconnect + move)" base_cfg;
-  run "+ gate sizing" { base_cfg with Flow.use_resize = true };
-  run "+ CTS guidance" { base_cfg with Flow.use_cts = true };
-  run "+ both" { base_cfg with Flow.use_resize = true; Flow.use_cts = true };
+  run "+ gate sizing" { base_cfg with Session.use_resize = true };
+  run "+ CTS guidance" { base_cfg with Session.use_cts = true };
+  run "+ both" { base_cfg with Session.use_resize = true; Session.use_cts = true };
   Table.print t
 
 (* ------------------------------------------------------------------ *)

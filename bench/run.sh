@@ -14,7 +14,7 @@
 #                         full + iterative-essential engines only) that
 #                         writes BENCH_css.json so CI can upload the
 #                         perf trajectory per PR (tens of seconds)
-#   bench/run.sh --paper  paper-scale section only: Flow.run end-to-end
+#   bench/run.sh --paper  paper-scale section only: Session.run end-to-end
 #                         on the ~1M-cell "-paper" profile variants,
 #                         recording cells/sec, peak RSS and the
 #                         essential/full edge ratio into BENCH_css.json

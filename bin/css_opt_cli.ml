@@ -3,20 +3,20 @@
 
 module Design = Css_netlist.Design
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 module Obs = Css_util.Obs
 module Tracer = Css_util.Tracer
 open Cmdliner
 
 let algo_conv =
   let parse = function
-    | "ours" -> Ok Flow.Ours
-    | "ours-early" -> Ok Flow.Ours_early
-    | "iccss+" | "iccss" -> Ok Flow.Iccss_plus
-    | "fpm" -> Ok Flow.Fpm
+    | "ours" -> Ok Session.Ours
+    | "ours-early" -> Ok Session.Ours_early
+    | "iccss+" | "iccss" -> Ok Session.Iccss_plus
+    | "fpm" -> Ok Session.Fpm
     | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S (ours|ours-early|iccss+|fpm)" s))
   in
-  let print fmt a = Format.pp_print_string fmt (Flow.algo_name a) in
+  let print fmt a = Format.pp_print_string fmt (Session.algo_name a) in
   Arg.conv (parse, print)
 
 let benchmark =
@@ -29,7 +29,7 @@ let input =
 
 let algo =
   let doc = "Algorithm: ours, ours-early, iccss+, fpm." in
-  Arg.(value & opt algo_conv Flow.Ours & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
+  Arg.(value & opt algo_conv Session.Ours & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
 let rounds =
   let doc = "CSS+OPT rounds." in
@@ -203,20 +203,38 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         Option.map (fun mb -> mb * 1024 * 1024) max_rss_mb;
     }
   in
+  (* shared by fresh and resumed runs; a fresh run adds its timer setup *)
+  let config =
+    {
+      Session.default_config with
+      rounds;
+      Session.use_resize = resize;
+      Session.use_cts = cts;
+      Session.obs = obs;
+      Session.jobs = max 1 jobs;
+      Session.budget = budget;
+      Session.checkpoint_dir;
+    }
+  in
+  (* with persistence on, SIGINT/SIGTERM stop the run cooperatively and
+     its last act is a durable checkpoint *)
+  let with_signals go =
+    if checkpoint_dir <> None then Css_flow.Persist.with_signal_handlers go else go ()
+  in
   (* everything after a flow run — shared by fresh and resumed paths *)
-  let finish (res : Flow.result) design =
+  let finish (res : Session.result) design =
     List.iter
       (fun d ->
         if not quiet then prerr_endline ("css_opt: " ^ Css_util.Diag.to_string d))
-      res.Flow.validation;
-    say "after:  %s\n" (Evaluator.summary res.Flow.report);
+      res.Session.validation;
+    say "after:  %s\n" (Evaluator.summary res.Session.report);
     say "%s: CSS %.2fs, OPT %.2fs, total %.2fs, %d edges extracted, HPWL +%.4f%%, stop %s%s%s\n"
-      res.Flow.algo res.Flow.css_seconds res.Flow.opt_seconds res.Flow.total_seconds
-      res.Flow.extracted_edges res.Flow.hpwl_increase_pct res.Flow.stop_reason
-      (if res.Flow.rolled_back then " (rolled back)" else "")
-      (if res.Flow.resumed then " (resumed)" else "");
-    if res.Flow.degradations <> [] then
-      say "budget degradations: %s\n" (String.concat ", " res.Flow.degradations);
+      res.Session.algo res.Session.css_seconds res.Session.opt_seconds res.Session.total_seconds
+      res.Session.extracted_edges res.Session.hpwl_increase_pct res.Session.stop_reason
+      (if res.Session.rolled_back then " (rolled back)" else "")
+      (if res.Session.resumed then " (resumed)" else "");
+    if res.Session.degradations <> [] then
+      say "budget degradations: %s\n" (String.concat ", " res.Session.degradations);
     let stats_ok =
       match stats_json with
       | None -> true
@@ -252,10 +270,10 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
     if trace_flag && not quiet then begin
       print_endline "round phase        iter  wns_early  tns_early   wns_late   tns_late";
       List.iter
-        (fun (p : Flow.trace_point) ->
-          Printf.printf "%5d %-12s %4d %10.2f %10.2f %10.2f %10.2f\n" p.Flow.round p.Flow.phase
-            p.Flow.iter p.Flow.wns_early p.Flow.tns_early p.Flow.wns_late p.Flow.tns_late)
-        res.Flow.trace
+        (fun (p : Session.trace_point) ->
+          Printf.printf "%5d %-12s %4d %10.2f %10.2f %10.2f %10.2f\n" p.Session.round p.Session.phase
+            p.Session.iter p.Session.wns_early p.Session.tns_early p.Session.wns_late p.Session.tns_late)
+        res.Session.trace
     end;
     (match save_out with
     | Some path ->
@@ -315,26 +333,12 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
         design
     in
     say "before: %s\n%!" (Evaluator.summary before);
-    let config =
-      {
-        Flow.default_config with
-        rounds;
-        Flow.use_resize = resize;
-        Flow.use_cts = cts;
-        Flow.timer = timer_cfg_pre;
-        Flow.obs = obs;
-        Flow.tracer = tracer;
-        Flow.jobs = max 1 jobs;
-        Flow.budget = budget;
-        Flow.checkpoint_dir;
-        Flow.handle_signals = checkpoint_dir <> None;
-      }
-    in
+    let config = { config with Session.timer = timer_cfg_pre } in
     say "extraction jobs: %d\n%!" (max 1 jobs);
     (match checkpoint_dir with
     | Some dir -> say "checkpointing to %s\n%!" dir
     | None -> ());
-    let res = Flow.run ~config ~algo design in
+    let res = with_signals (fun () -> Session.run ~config ~algo design) in
     finish res design
     with
     (* malformed or degenerate input: one diagnostic line, never a raw
@@ -355,21 +359,10 @@ let main benchmark input algo rounds scale save_out trace_flag stats_json trace_
        checkpoint (CKPT-* diagnostics) fall back to a fresh run so an
        interrupted pipeline invocation can be retried verbatim — input
        errors in the fresh path still exit 2. *)
-    let config =
-      {
-        Flow.default_config with
-        rounds;
-        Flow.use_resize = resize;
-        Flow.use_cts = cts;
-        Flow.obs = obs;
-        Flow.tracer = tracer;
-        Flow.jobs = max 1 jobs;
-        Flow.budget = budget;
-        Flow.checkpoint_dir;
-        Flow.handle_signals = true;
-      }
-    in
-    match Flow.resume ~config ~library:Css_liberty.Library.default ~dir () with
+    match
+      with_signals (fun () ->
+          Session.resume ~config ~library:Css_liberty.Library.default ~dir ())
+    with
     | Ok (res, design) ->
       say "resumed from %s\n%!" dir;
       finish res design

@@ -16,7 +16,6 @@ module Design = Css_netlist.Design
 module Point = Css_geometry.Point
 module Profile = Css_benchgen.Profile
 module Generator = Css_benchgen.Generator
-module Flow = Css_flow.Flow
 module Session = Css_flow.Session
 module Protocol = Css_service.Protocol
 module Server = Css_service.Server
@@ -101,7 +100,6 @@ let serve_cmd =
         final_eval;
         rollback;
         obs;
-        tracer;
       }
     in
     (try Server.serve cfg with
@@ -160,8 +158,8 @@ let request_cmd =
 (* ------------------------------------------------------------------ *)
 (* drive                                                               *)
 
-(* The reference replays the session's life locally: Flow.run on the
-   same generated design, Session.stage for each delta, Flow.run again.
+(* The reference replays the session's life locally: Session.run on the
+   same generated design, Session.stage for each delta, Session.run again.
    Both sides start from the same design text and the same anchors, so
    the latencies must match bitwise (the ECO-identity contract). *)
 
@@ -227,8 +225,8 @@ let drive_cmd =
     let text = Io.to_string local in
     let cfg =
       {
-        Flow.default_config with
-        Flow.rounds;
+        Session.default_config with
+        Session.rounds;
         jobs;
         final_eval = false;
         rollback = false;
@@ -258,7 +256,7 @@ let drive_cmd =
             }));
     let run_resp = rpc (Protocol.Run session) in
     say "run: %s\n" (Json.to_string (Option.get (Json.member "result" run_resp)));
-    if not no_identity then ignore (Flow.run ~config:cfg ~algo:Flow.Ours local);
+    if not no_identity then ignore (Session.run ~config:cfg ~algo:Session.Ours local);
     let ffs = Design.ffs local in
     if Array.length ffs = 0 then begin
       prerr_endline "css_serve: profile generated no flip-flops";
@@ -285,14 +283,14 @@ let drive_cmd =
         (match Json.member "mode" resp with Some (Json.String m) -> m | _ -> "?");
       if not no_identity then begin
         (* replay locally: same delta, from-scratch run on the post-delta design *)
-        (match Session.stage ~validate:false ~timer:cfg.Flow.timer local [ delta ] with
+        (match Session.stage ~validate:false ~timer:cfg.Session.timer local [ delta ] with
         | Ok _ -> ()
         | Error ds ->
           prerr_endline
             ("css_serve: local stage failed: " ^ String.concat "; " (List.map Diag.to_string ds));
           exit 2);
         let t0 = Css_util.Wall_clock.now () in
-        ignore (Flow.run ~config:cfg ~algo:Flow.Ours local);
+        ignore (Session.run ~config:cfg ~algo:Session.Ours local);
         local_s := !local_s +. (Css_util.Wall_clock.now () -. t0);
         let remote = latencies_of_response (rpc (Protocol.Latencies session)) in
         let mine = exact_latencies local in
@@ -307,7 +305,7 @@ let drive_cmd =
               Printf.eprintf "  mismatch %s=%s (service) vs %s=%s (local)\n" rf rv mf mv
             end
           done;
-          Printf.eprintf "css_serve: delta %d: latencies differ from local Flow.run\n" k
+          Printf.eprintf "css_serve: delta %d: latencies differ from local Session.run\n" k
         end
       end
     done;

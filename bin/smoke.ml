@@ -49,19 +49,19 @@ let () =
   Printf.printf "initial: %s\n" (Evaluator.summary report0);
 
   banner "tiny full flow (Ours)";
-  let res = Css_flow.Flow.run ~algo:Css_flow.Flow.Ours (Css_flow.Flow.clone tiny) in
+  let res = Css_flow.Session.run ~algo:Css_flow.Session.Ours (Css_flow.Session.clone tiny) in
   Printf.printf "final:   %s\n" (Evaluator.summary res.report);
   Printf.printf "css %.3fs opt %.3fs edges %d iters %d hpwl+%.4f%%\n" res.css_seconds
     res.opt_seconds res.extracted_edges res.css_iterations res.hpwl_increase_pct;
 
   banner "tiny full flow (IC-CSS+)";
-  let res2 = Css_flow.Flow.run ~algo:Css_flow.Flow.Iccss_plus (Css_flow.Flow.clone tiny) in
+  let res2 = Css_flow.Session.run ~algo:Css_flow.Session.Iccss_plus (Css_flow.Session.clone tiny) in
   Printf.printf "final:   %s\n" (Evaluator.summary res2.report);
   Printf.printf "css %.3fs opt %.3fs edges %d iters %d\n" res2.css_seconds res2.opt_seconds
     res2.extracted_edges res2.css_iterations;
 
   banner "tiny full flow (FPM)";
-  let res3 = Css_flow.Flow.run ~algo:Css_flow.Flow.Fpm (Css_flow.Flow.clone tiny) in
+  let res3 = Css_flow.Session.run ~algo:Css_flow.Session.Fpm (Css_flow.Session.clone tiny) in
   Printf.printf "final:   %s\n" (Evaluator.summary res3.report);
   Printf.printf "css %.3fs opt %.3fs edges %d\n" res3.css_seconds res3.opt_seconds
     res3.extracted_edges;
@@ -72,9 +72,9 @@ let () =
   Printf.printf "design: %d cells %d ffs %d nets\n%!" (Design.num_cells d0)
     (Array.length (Design.ffs d0)) (Design.num_nets d0);
   Printf.printf "initial: %s\n%!" (Evaluator.summary (Evaluator.evaluate d0));
-  let r1 = Css_flow.Flow.run ~algo:Css_flow.Flow.Ours (Css_flow.Flow.clone d0) in
+  let r1 = Css_flow.Session.run ~algo:Css_flow.Session.Ours (Css_flow.Session.clone d0) in
   Printf.printf "Ours:    %s\n  css %.3fs opt %.3fs edges %d\n%!" (Evaluator.summary r1.report)
     r1.css_seconds r1.opt_seconds r1.extracted_edges;
-  let r2 = Css_flow.Flow.run ~algo:Css_flow.Flow.Iccss_plus (Css_flow.Flow.clone d0) in
+  let r2 = Css_flow.Session.run ~algo:Css_flow.Session.Iccss_plus (Css_flow.Session.clone d0) in
   Printf.printf "IC-CSS+: %s\n  css %.3fs opt %.3fs edges %d\n%!" (Evaluator.summary r2.report)
     r2.css_seconds r2.opt_seconds r2.extracted_edges

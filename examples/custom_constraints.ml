@@ -14,7 +14,7 @@
 module Design = Css_netlist.Design
 module Timer = Css_sta.Timer
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 
 let () =
   let profile = Css_benchgen.Profile.scale 0.5 (Option.get (Css_benchgen.Profile.by_name "sb5")) in
@@ -40,26 +40,26 @@ let () =
   Printf.printf "initial:        %s\n\n" (Evaluator.summary (Evaluator.evaluate base));
 
   let run name config =
-    let r = Flow.run ~config ~algo:Flow.Ours (Flow.clone base) in
-    Printf.printf "%-14s %s\n" name (Evaluator.summary r.Flow.report);
+    let r = Session.run ~config ~algo:Session.Ours (Session.clone base) in
+    Printf.printf "%-14s %s\n" name (Evaluator.summary r.Session.report);
     r
   in
   (* plain flow: bounded flops limit what skew can do *)
-  let plain = run "plain:" Flow.default_config in
+  let plain = run "plain:" Session.default_config in
   (* + CTS guidance: new LCBs realize the remaining targets precisely *)
-  let cts = run "+CTS:" { Flow.default_config with Flow.use_cts = true } in
+  let cts = run "+CTS:" { Session.default_config with Session.use_cts = true } in
   (* + gate sizing: paths that skew cannot close get stronger drivers *)
   let full =
-    run "+CTS+sizing:" { Flow.default_config with Flow.use_cts = true; Flow.use_resize = true }
+    run "+CTS+sizing:" { Session.default_config with Session.use_cts = true; Session.use_resize = true }
   in
 
   Printf.printf "\nlate TNS recovered: plain %.0f | +CTS %.0f | +CTS+sizing %.0f (ps)\n"
-    plain.Flow.report.Evaluator.tns_late cts.Flow.report.Evaluator.tns_late
-    full.Flow.report.Evaluator.tns_late;
+    plain.Session.report.Evaluator.tns_late cts.Session.report.Evaluator.tns_late
+    full.Session.report.Evaluator.tns_late;
   Printf.printf "every run honoured the %d latency windows: %s\n" !constrained
     (if
        List.for_all
-         (fun (r : Flow.result) -> r.Flow.report.Evaluator.constraint_errors = [])
+         (fun (r : Session.result) -> r.Session.report.Evaluator.constraint_errors = [])
          [ plain; cts; full ]
      then "yes"
      else "NO — constraint violations reported")

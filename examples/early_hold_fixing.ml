@@ -6,7 +6,7 @@
 
 module Design = Css_netlist.Design
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 module Table = Css_util.Table
 
 let () =
@@ -17,10 +17,10 @@ let () =
     (Array.length (Design.ffs base))
     (Evaluator.evaluate base).Evaluator.num_early_violations;
 
-  let run algo = Flow.run ~algo (Flow.clone base) in
+  let run algo = Session.run ~algo (Session.clone base) in
   let before = Evaluator.evaluate base in
-  let ours = run Flow.Ours_early in
-  let fpm = run Flow.Fpm in
+  let ours = run Session.Ours_early in
+  let fpm = run Session.Fpm in
 
   let table = Table.create [ "solution"; "early WNS"; "early TNS"; "#viol"; "CSS s"; "edges" ] in
   Table.set_aligns table Table.[ Left; Right; Right; Right; Right; Right ];
@@ -36,15 +36,15 @@ let () =
       ]
   in
   row "initial" before "-" "-";
-  row "FPM [Kim et al.]" fpm.Flow.report
-    (Printf.sprintf "%.3f" fpm.Flow.css_seconds)
-    (string_of_int fpm.Flow.extracted_edges);
-  row "Ours-Early" ours.Flow.report
-    (Printf.sprintf "%.3f" ours.Flow.css_seconds)
-    (string_of_int ours.Flow.extracted_edges);
+  row "FPM [Kim et al.]" fpm.Session.report
+    (Printf.sprintf "%.3f" fpm.Session.css_seconds)
+    (string_of_int fpm.Session.extracted_edges);
+  row "Ours-Early" ours.Session.report
+    (Printf.sprintf "%.3f" ours.Session.css_seconds)
+    (string_of_int ours.Session.extracted_edges);
   Table.print table;
 
   Printf.printf
     "\nThe iterative engine touches only violated endpoints; FPM extracts the\n\
      complete early sequential graph up front (%d vs %d gate-level node visits).\n"
-    ours.Flow.cone_nodes fpm.Flow.cone_nodes
+    ours.Session.cone_nodes fpm.Session.cone_nodes

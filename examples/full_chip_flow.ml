@@ -7,7 +7,7 @@
 
 module Design = Css_netlist.Design
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 
 let () =
   let profile = Css_benchgen.Profile.scale 0.5 (Option.get (Css_benchgen.Profile.by_name "sb18")) in
@@ -19,18 +19,18 @@ let () =
   let before = Evaluator.evaluate design in
   Printf.printf "before: %s\n\n" (Evaluator.summary before);
 
-  let result = Flow.run ~algo:Flow.Ours design in
+  let result = Session.run ~algo:Session.Ours design in
 
-  Printf.printf "after:  %s\n" (Evaluator.summary result.Flow.report);
+  Printf.printf "after:  %s\n" (Evaluator.summary result.Session.report);
   Printf.printf "CSS %.3f s | OPT %.3f s | %d edges extracted | %d scheduler iterations\n"
-    result.Flow.css_seconds result.Flow.opt_seconds result.Flow.extracted_edges
-    result.Flow.css_iterations;
-  Printf.printf "HPWL increase: %.3f%%\n\n" result.Flow.hpwl_increase_pct;
+    result.Session.css_seconds result.Session.opt_seconds result.Session.extracted_edges
+    result.Session.css_iterations;
+  Printf.printf "HPWL increase: %.3f%%\n\n" result.Session.hpwl_increase_pct;
 
   print_endline "optimization trajectory (compare the paper's Fig. 8):";
   print_endline "round  phase       iter   early WNS   early TNS    late WNS    late TNS";
   List.iter
-    (fun (p : Flow.trace_point) ->
-      Printf.printf "%5d  %-10s %5d  %10.2f  %10.2f  %10.2f  %10.2f\n" p.Flow.round p.Flow.phase
-        p.Flow.iter p.Flow.wns_early p.Flow.tns_early p.Flow.wns_late p.Flow.tns_late)
-    result.Flow.trace
+    (fun (p : Session.trace_point) ->
+      Printf.printf "%5d  %-10s %5d  %10.2f  %10.2f  %10.2f  %10.2f\n" p.Session.round p.Session.phase
+        p.Session.iter p.Session.wns_early p.Session.tns_early p.Session.wns_late p.Session.tns_late)
+    result.Session.trace

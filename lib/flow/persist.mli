@@ -28,7 +28,7 @@
     - [CKPT-004] — truncated (short read mid-structure)
     - [CKPT-005] — malformed section or field
     - [CKPT-006] — reserved for run/checkpoint mismatch, emitted by
-      {!Flow.resume} when the checkpoint belongs to a different
+      {!Session.resume} when the checkpoint belongs to a different
       design/algorithm than the one requested *)
 
 (** {1 Cooperative interruption} *)
@@ -76,8 +76,8 @@ val with_signal_handlers : (unit -> 'a) -> 'a
 
 (** {1 Checkpoint state} *)
 
-(** One flow trajectory sample ({!Flow.trace_point}, decoupled to keep
-    this module independent of [Flow]). *)
+(** One flow trajectory sample ({!Session.trace_point}, decoupled to keep
+    this module independent of [Session]). *)
 type trace_entry = {
   te_round : int;
   te_phase : string;
@@ -110,7 +110,7 @@ type best = {
     any phase that was in flight when the process died — determinism
     makes the redo bitwise-identical. *)
 type state = {
-  ps_algo : string;  (** {!Flow.algo_name} of the running algorithm *)
+  ps_algo : string;  (** {!Session.algo_name} of the running algorithm *)
   ps_design : string;  (** design name, for mismatch detection *)
   ps_rounds : int;  (** configured round count at save time *)
   ps_phases_done : int;  (** completed main-loop phases *)

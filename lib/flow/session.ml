@@ -82,19 +82,12 @@ type config = {
   repair : bool;
   rollback : bool;
   final_eval : bool;
-  eco_fallback_frac : float;
   deadline_seconds : float option;
-  phase_deadline_seconds : float option;
-  stall_phases : int;
   on_phase_end : (round:int -> phase:string -> Design.t -> unit) option;
   obs : Obs.t;
-  tracer : Tracer.t;
   jobs : int;
   budget : Budget.limits;
   checkpoint_dir : string option;
-  handle_signals : bool;
-  debug_interrupt_after_phase : int option;
-  debug_interrupt_after_iteration : int option;
 }
 
 let default_config =
@@ -110,20 +103,22 @@ let default_config =
     repair = true;
     rollback = true;
     final_eval = true;
-    eco_fallback_frac = 0.25;
     deadline_seconds = None;
-    phase_deadline_seconds = None;
-    stall_phases = 4;
     on_phase_end = None;
     obs = Obs.null;
-    tracer = Tracer.null;
     jobs = 1;
     budget = Budget.no_limits;
     checkpoint_dir = None;
-    handle_signals = false;
-    debug_interrupt_after_phase = None;
-    debug_interrupt_after_iteration = None;
   }
+
+(* The stall watchdog stops a run after this many consecutive phases
+   without worst-slack improvement at either corner. *)
+let stall_phases = 4
+
+(* {!apply_delta} rebuilds the timer from scratch when a batch touches
+   more than this fraction of all cells: past it, the incremental path
+   is no cheaper than what it replaces. *)
+let eco_fallback_frac = 0.25
 
 let clone design =
   Io.of_string_exn ~library:(Design.library design) (Io.to_string design)
@@ -186,7 +181,6 @@ type t = {
          may retry a hold that an interrupt cut short *)
   mutable rung : int;  (* degradation-ladder position, 0 = full fidelity *)
   mutable degradations_rev : string list;
-  mutable iter_polls : int;  (* scheduler should_stop polls, for fault injection *)
   mutable resumed : bool;  (* the current run continues a loaded checkpoint *)
   mutable validation : Diag.t list;  (* ingress findings for the current design *)
   mutable closed : bool;
@@ -367,9 +361,6 @@ let rec degrade st ~reason =
    budget — [Hard] stops the flow, [Soft] takes one ladder step. *)
 let governor st =
   if st.stop = None then begin
-    (match st.cfg.debug_interrupt_after_phase with
-    | Some n when st.phases_done >= n -> Persist.request_interrupt ()
-    | _ -> ());
     if Persist.interrupted () then set_stop st "interrupted"
     else
       match st.budget with
@@ -391,24 +382,19 @@ let interrupt_cause st =
       match Budget.poll b with Budget.Hard reason -> "budget-" ^ reason | _ -> "budget-wall")
     | _ -> "interrupted"
 
-(* The scheduler's own deadline is the tightest of: its configured one,
-   the per-phase budget, and whatever remains of the flow budget — so a
-   phase in flight also honors the flow-level watchdog. The budget adds
-   two more hooks: rung 1+ shrinks the best-state ring, and [should_stop]
-   aborts mid-phase on a signal or hard budget. *)
+(* The scheduler's own deadline is the tighter of its configured
+   per-phase one and whatever remains of the flow budget — so a phase in
+   flight also honors the flow-level watchdog. The budget adds two more
+   hooks: rung 1+ shrinks the best-state ring, and [should_stop] aborts
+   mid-phase on a signal or hard budget. *)
 let scheduler_config st =
   let remaining =
     match st.cfg.deadline_seconds with
     | None -> None
     | Some d -> Some (Float.max 0.0 (d -. elapsed st))
   in
-  let phase_budget =
-    match st.cfg.scheduler.Scheduler.deadline_seconds with
-    | Some _ as d -> d
-    | None -> st.cfg.phase_deadline_seconds
-  in
   let eff =
-    match (phase_budget, remaining) with
+    match (st.cfg.scheduler.Scheduler.deadline_seconds, remaining) with
     | None, r -> r
     | (Some _ as d), None -> d
     | Some a, Some b -> Some (Float.min a b)
@@ -420,10 +406,6 @@ let scheduler_config st =
   in
   let user_stop = base.Scheduler.should_stop in
   let should_stop () =
-    st.iter_polls <- st.iter_polls + 1;
-    (match st.cfg.debug_interrupt_after_iteration with
-    | Some n when st.iter_polls > n -> Persist.request_interrupt ()
-    | _ -> ());
     Persist.interrupted ()
     || (match st.budget with
        | Some b -> ( match Budget.poll b with Budget.Hard _ -> true | _ -> false)
@@ -744,7 +726,7 @@ let css_opt_phase st ~round ~corner =
   end
   else begin
     st.stall_count <- st.stall_count + 1;
-    if st.stall_count >= st.cfg.stall_phases && st.stop = None then begin
+    if st.stall_count >= stall_phases && st.stop = None then begin
       Log.warn (fun m ->
           m "round %d %s: %d phases without worst-slack progress, stopping" round phase
             st.stall_count);
@@ -865,12 +847,6 @@ let finalize st =
       | _ -> (final_report, false)
   in
   let total_seconds = Wall_clock.now () -. st.t0 in
-  (* the debug knobs set the process-global flag; clear it so reference
-     runs later in the same process don't inherit a stale interrupt *)
-  if
-    st.cfg.debug_interrupt_after_phase <> None
-    || st.cfg.debug_interrupt_after_iteration <> None
-  then Persist.clear_interrupt ();
   {
     algo = algo_name st.algo;
     benchmark = Design.name (Timer.design st.timer);
@@ -905,13 +881,13 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
   let jobs_eff = if resume_rung >= 2 then 1 else config.jobs in
   let pool =
     if jobs_eff > 1 then
-      Some (Pool.create ~obs:config.obs ~tracer:config.tracer ~jobs:jobs_eff ())
+      Some (Pool.create ~obs:config.obs ~jobs:jobs_eff ())
     else None
   in
   let budget =
     if config.budget.Budget.wall_seconds = None && config.budget.Budget.rss_bytes = None then
       None
-    else Some (Budget.create ~obs:config.obs ~tracer:config.tracer config.budget)
+    else Some (Budget.create ~obs:config.obs config.budget)
   in
   let engine0 =
     match algo with Ours | Ours_early -> `Ours | Iccss_plus -> `Iccss | Fpm -> `Fpm
@@ -946,7 +922,6 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
       rung = resume_rung;
       degradations_rev =
         (match resume with Some r -> List.rev r.Persist.ps_degradations | None -> []);
-      iter_polls = 0;
       resumed = Option.is_some resume;
       validation;
       closed = false;
@@ -994,7 +969,7 @@ let create ~(config : config) ~algo ~validation ~hpwl_before ?resume design =
    with e ->
      (* opening failed after the pool spawned: don't leak domains *)
      Option.iter Pool.shutdown st.pool;
-     Tracer.flush config.tracer;
+     Tracer.flush (Obs.tracer config.obs);
      raise e);
   st
 
@@ -1045,8 +1020,23 @@ let close st =
     (* the signal/interrupt exit path runs through here too: make sure
        any buffered trace events reach the spill file before the process
        dies (the tracer's owner still closes/exports it) *)
-    Tracer.flush st.cfg.tracer
+    Tracer.flush (Obs.tracer st.cfg.obs)
   end
+
+(* {2 One-shot runs} *)
+
+(* Drain to the result, releasing the pool and flushing the tracer on
+   every exit path. *)
+let finish_and_close st = Fun.protect ~finally:(fun () -> close st) (fun () -> finish st)
+
+let run ?config ~algo design = finish_and_close (open_ ?config ~algo design)
+
+let resume ?config ~library ~dir () =
+  match reopen ?config ~library ~dir () with
+  | Error _ as e -> e
+  | Ok st ->
+    let design = design st in
+    Ok (finish_and_close st, design)
 
 (* {2 Delta requests} *)
 
@@ -1260,7 +1250,7 @@ type delta_outcome = {
 }
 
 (* Reset the per-run cursors and accumulators so the next schedule is,
-   phase for phase, the run a fresh [Flow.run] would execute on the
+   phase for phase, the run a fresh [run] would execute on the
    edited design — with the warm timer standing in for a fresh build.
    The budget, its degradation rung, and the pool survive: they belong
    to the session, not to one request. *)
@@ -1280,7 +1270,6 @@ let reset_for_run st =
   st.edges <- 0;
   st.cones <- 0;
   st.iterations <- 0;
-  st.iter_polls <- 0;
   st.css_base <- 0.0;
   st.opt_base <- 0.0;
   st.css_clock <- Wall_clock.create ();
@@ -1306,7 +1295,7 @@ let apply_delta st deltas =
     let frac_limit =
       max 1
         (int_of_float
-           (st.cfg.eco_fallback_frac *. float_of_int (Design.num_cells sg.sg_design)))
+           (eco_fallback_frac *. float_of_int (Design.num_cells sg.sg_design)))
     in
     let mode =
       if sg.sg_replaced || timer_changed then `Rebuild

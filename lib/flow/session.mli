@@ -1,5 +1,14 @@
-(** Resident clock skew scheduling sessions — the session-first surface
-    behind both {!Flow} and the [css_serve] daemon.
+(** End-to-end slack optimization flows — the rows of Table I — run as
+    resident clock skew scheduling sessions.
+
+    Each flow interleaves clock skew scheduling (CSS) with physical slack
+    optimization (OPT: LCB-FF reconnection + cell movement), in the
+    paper's staging: early slack optimization under late constraints,
+    then late optimization under early constraints, for a configurable
+    number of rounds (Fig. 8 shows this interleaving on superblue18).
+    Metrics follow Table I's columns: final early/late WNS/TNS as scored
+    by the independent evaluator, CSS and OPT wall-clock seconds, the
+    number of extracted sequential edges, and the HPWL increase.
 
     A session owns everything the paper's iterative loop keeps warm
     between latency changes: the loaded design, the incremental timer,
@@ -12,29 +21,60 @@
     affected cones (the paper's Update step, applied across requests)
     and re-schedules; {!close} releases the pool and flushes the tracer.
 
-    One-shot use is [Flow.run], which is exactly
-    [open_ |> finish |> close]. Long-running use — the CSS-as-a-service
-    story — keeps the session open and feeds it deltas: each
+    One-shot use is {!run}, which is exactly [open_ |> finish |> close].
+    Long-running use — the CSS-as-a-service story of the [css_serve]
+    daemon — keeps the session open and feeds it deltas: each
     {!apply_delta} answers from the warm timer instead of rebuilding,
     with a from-scratch fallback rung when the delta invalidates too
-    much ({!config.eco_fallback_frac}, netlist ECOs, analysis-corner
-    changes).
+    much (more than a quarter of all cells, netlist ECOs,
+    analysis-corner changes).
 
-    Determinism contract: a drained session computes bitwise what the
-    historical single-shot flow computed, and an {!apply_delta} answer
-    is bitwise the answer of a fresh [Flow.run] on the post-delta design
+    Determinism contract: a drained session computes bitwise what an
+    uninterrupted one-shot {!run} computes, and an {!apply_delta} answer
+    is bitwise the answer of a fresh {!run} on the post-delta design
     given the same configuration — the warm incrementally-updated timer
     is exact, not approximate ({!Css_oracle.Oracles.check_eco_identity}
-    enforces this). All hardening described in {!Flow} (validation,
-    watchdogs, checkpoint/rollback, budgets, persistence) applies
-    per-run inside the session. *)
+    enforces this).
+
+    {2 Hardening}
+
+    Every run is guarded end to end (see [docs/ROBUSTNESS.md]):
+
+    - {b ingress validation}: {!Css_netlist.Validate.run} checks and (by
+      default) repairs the design before any timing is built; a fatally
+      degenerate design raises {!Css_netlist.Validate.Invalid} instead
+      of corrupting a run;
+    - {b watchdogs}: a flow-level wall-clock deadline, a per-phase
+      deadline ({!Css_core.Scheduler.config.deadline_seconds}), and a
+      cross-phase stall detector (4 consecutive phases without
+      worst-slack improvement stop the run as ["stalled"]);
+    - {b checkpoint / rollback}: after validation and after every phase
+      the physically realized state is scored on the contest's terms
+      ({!score}: read off the live timer, bitwise a fresh evaluation)
+      and the best-scoring checkpoint (latencies, positions, masters,
+      FF-LCB binding) is kept; if the run ends worse than its best
+      checkpoint, the design is restored and the result reports
+      [rolled_back = true]. A run can therefore never end worse than its
+      input;
+    - {b resource governance}: an optional {!Css_util.Budget} (wall
+      clock + resident set) polled at phase and scheduler-iteration
+      boundaries. Soft pressure walks a degradation ladder — shrink the
+      scheduler's best-state ring, drop the worker pool, switch to the
+      cheapest extraction, early-stop — one rung per poll; a hard limit
+      stops the flow with its best result and [stop_reason =
+      "budget-wall"/"budget-rss"];
+    - {b crash-safe persistence}: with [checkpoint_dir] set, the full
+      resumable state is written atomically ({!Persist}) after every
+      completed phase, and {!resume} continues a killed run to a final
+      result bitwise identical to an uninterrupted one. The session
+      never installs signal handlers: a caller that wants SIGINT/SIGTERM
+      to become a cooperative stop whose last act is that same durable
+      checkpoint wraps its run in {!Persist.with_signal_handlers} (a
+      daemon owns dispatch via {!Persist.install_handlers}). *)
 
 type t
 
-(** {1 Types shared with {!Flow}}
-
-    {!Flow} re-exports all of these; see its documentation for the
-    field-by-field story. *)
+(** {1 Types} *)
 
 type algo =
   | Ours  (** iterative essential extraction, both corners *)
@@ -47,10 +87,11 @@ val algo_name : algo -> string
 (** [algo_of_name s] inverts {!algo_name}; [None] on unknown names. *)
 val algo_of_name : string -> algo option
 
+(** One sample of the optimization trajectory, for Fig. 8. *)
 type trace_point = {
   round : int;
-  phase : string;
-  iter : int;
+  phase : string;  (** "early-css", "early-opt", "late-css", "late-opt" *)
+  iter : int;  (** scheduler iteration within the phase; 0 for OPT points *)
   wns_early : float;
   tns_early : float;
   wns_late : float;
@@ -60,33 +101,58 @@ type trace_point = {
 type result = {
   algo : string;
   benchmark : string;
-  report : Css_eval.Evaluator.report;
+  report : Css_eval.Evaluator.report;  (** final, physically realized state *)
   css_seconds : float;
   opt_seconds : float;
   total_seconds : float;
   extracted_edges : int;
   cone_nodes : int;
   css_iterations : int;
-  hpwl_increase_pct : float;
+  hpwl_increase_pct : float;  (** vs. the design at flow start *)
   stop_reason : string;
+      (** why the round loop ended: ["clean"] (no violations left),
+          ["max-rounds"], ["stalled"], ["deadline"], ["interrupted"]
+          (SIGINT/SIGTERM or {!Persist.request_interrupt}), or
+          ["budget-wall"]/["budget-rss"] (hard budget limit) *)
   rolled_back : bool;
+      (** the final state scored worse than an earlier checkpoint and the
+          design was restored to that checkpoint; [report] is the
+          checkpoint's evaluation *)
   degradations : string list;
-  resumed : bool;
+      (** chronological ladder steps taken under soft budget pressure,
+          as ["<step>(<reason>)"] — e.g. ["drop-pool(wall)"]; empty when
+          the budget never tripped *)
+  resumed : bool;  (** this result came from {!resume}, not a fresh run *)
   validation : Css_util.Diag.t list;
-  trace : trace_point list;
+      (** everything ingress validation found (repaired or warned);
+          empty when [validate = false] or the design was pristine *)
+  trace : trace_point list;  (** chronological *)
 }
 
 type config = {
-  rounds : int;
-  timer : Css_sta.Timer.config;
+  rounds : int;  (** CSS+OPT rounds per corner (default 3) *)
+  timer : Css_sta.Timer.config;  (** analysis corner setup (derates, uncertainties) *)
   scheduler : Css_core.Scheduler.config;
+      (** its [deadline_seconds] is the per-phase budget *)
   reconnect : Css_opt.Reconnect.config;
   cell_move : Css_opt.Cell_move.config;
   use_resize : bool;
+      (** also run the gate-sizing passes in each OPT phase (the paper's
+          "logic path optimization" extension; default false) *)
   use_cts : bool;
+      (** realize latency targets by inserting new LCBs via
+          {!Css_opt.Cts_guide} before falling back to reconnection
+          (the paper's "guide clock tree synthesis" extension;
+          default false) *)
   validate : bool;
+      (** run {!Css_netlist.Validate.run} at flow entry (default true);
+          raises {!Css_netlist.Validate.Invalid} on fatal degeneracy *)
   repair : bool;
+      (** let ingress validation repair what it safely can
+          (default true); with [false] repairable findings are fatal *)
   rollback : bool;
+      (** checkpoint after every phase and restore the best-scoring
+          state if the run ends worse (default true) *)
   final_eval : bool;
       (** score the final state with the independent evaluator (default
           true — the paper-scoring contract). [false] synthesizes the
@@ -97,27 +163,42 @@ type config = {
           scoring is disabled with it ([rolled_back] is always false).
           Services answering delta requests set [false]; final sign-off
           keeps [true]. *)
-  eco_fallback_frac : float;
-      (** {!apply_delta} falls back to a from-scratch timer rebuild when
-          a delta batch touches more than this fraction of all cells
-          (default 0.25); the incremental path must stay cheaper than
-          what it replaces *)
   deadline_seconds : float option;
-  phase_deadline_seconds : float option;
-  stall_phases : int;
+      (** flow-level wall-clock budget; checked between phases and
+          forwarded (as the remaining budget) to the scheduler so a
+          phase in flight also stops (default [None]) *)
   on_phase_end : (round:int -> phase:string -> Css_netlist.Design.t -> unit) option;
+      (** test/fault-injection hook called after each phase completes,
+          before the phase is scored for checkpointing; the flow resyncs
+          the timer afterwards, so the hook may mutate placement and
+          latencies freely (default [None]) *)
   obs : Css_util.Obs.t;
-  tracer : Css_util.Tracer.t;
+      (** observability sink threaded through the timer, the extraction
+          engines, the scheduler and the OPT passes. The flow itself
+          contributes ["<phase>-css"] / ["<phase>-opt"] spans, one
+          ["flow.point"] snapshot per trajectory sample, the
+          [opt.reconnect.*] / [opt.cell_move.*] counters, and the
+          [flow.checkpoints] / [flow.rollbacks] counters. A tracer
+          attached with {!Css_util.Obs.attach_tracer} also reaches the
+          worker pool (one ["pool.chunk"] span per claimed chunk, on the
+          worker's own track) and the budget governor (["budget.wall_s"]
+          / ["budget.rss_bytes"] counter lanes); the session flushes
+          (but does not close) it on every exit path. Default
+          {!Css_util.Obs.null} (zero overhead). *)
   jobs : int;
+      (** worker domains for parallel extraction (default 1 =
+          sequential). With [jobs > 1] the session owns a
+          {!Css_util.Pool.t} shared by all extraction engines and shuts
+          it down at exit; results are bit-identical at any value (see
+          {!Css_seqgraph.Extract.run}). *)
   budget : Css_util.Budget.limits;
+      (** wall-clock / RSS budget driving the degradation ladder and the
+          hard stop (default {!Css_util.Budget.no_limits} = no budget,
+          zero polling overhead) *)
   checkpoint_dir : string option;
-  handle_signals : bool;
-      (** consumed by [Flow.run]/[Flow.resume] (they wrap the drive in
-          {!Persist.with_signal_handlers}); the session itself never
-          installs handlers — a daemon owns signal dispatch via
-          {!Persist.install_handlers} *)
-  debug_interrupt_after_phase : int option;
-  debug_interrupt_after_iteration : int option;
+      (** write a durable {!Persist} checkpoint here after every
+          completed phase; {!resume} continues from it
+          (default [None] = no persistence) *)
 }
 
 val default_config : config
@@ -159,6 +240,37 @@ val finish : t -> result
 val close : t -> unit
 
 val is_closed : t -> bool
+
+(** {1 One-shot runs} *)
+
+(** [run ?config ~algo design] executes the flow, mutating [design], and
+    scores the final state with the evaluator: {!open_}, {!finish}, then
+    {!close} on every exit path. It installs no signal handlers.
+    @raise Css_netlist.Validate.Invalid if [config.validate] and the
+    design is fatally degenerate (after repair, when enabled). *)
+val run : ?config:config -> algo:algo -> Css_netlist.Design.t -> result
+
+(** [resume ?config ~library ~dir ()] loads the durable checkpoint under
+    [dir] and continues the interrupted run to completion, returning the
+    result (with [resumed = true]) and the continued design: {!reopen},
+    {!finish}, then {!close} on every exit path. Because checkpoints are
+    written only at completed-phase boundaries and every phase is
+    deterministic, the final scheduled latencies are bitwise those of
+    the same run uninterrupted.
+
+    [config] supplies everything a checkpoint does not carry (evaluator
+    and scheduler settings, budgets, [checkpoint_dir] for further
+    persistence — typically the same config the original run used);
+    [config.rounds] is overridden by the checkpoint's own horizon. On
+    [Error], the diagnostics carry the [CKPT-*] codes of {!Persist}
+    ([CKPT-006] when the checkpoint names an unknown algorithm or its
+    design does not parse against [library]). *)
+val resume :
+  ?config:config ->
+  library:Css_liberty.Library.t ->
+  dir:string ->
+  unit ->
+  (result * Css_netlist.Design.t, Css_util.Diag.t list) Stdlib.result
 
 (** {1 Accessors} *)
 
@@ -217,9 +329,9 @@ type delta_outcome = {
     re-propagates ([`Incremental]: only the cones the edits reach;
     [`Rebuild]: from scratch, when the batch replaced the netlist,
     changed the timer configuration, or touched more than
-    [eco_fallback_frac] of all cells) and re-schedules to completion.
+    a quarter of all cells) and re-schedules to completion.
 
-    The resulting latencies are bitwise those of a fresh [Flow.run] on
+    The resulting latencies are bitwise those of a fresh {!run} on
     the post-delta design with the session's configuration. Small deltas
     skip whole-design re-validation (the design was validated at
     {!open_} and name/value checks cover the edit itself);

@@ -19,7 +19,11 @@ let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
 
 let scale k p = { x = k *. p.x; y = k *. p.y }
 
-let equal ?eps a b =
-  Css_util.Stats.fequal ?eps a.x b.x && Css_util.Stats.fequal ?eps a.y b.y
+(* absolute or relative closeness, whichever is looser *)
+let fequal ?(eps = 1e-9) a b =
+  let d = Float.abs (a -. b) in
+  d <= eps || d <= eps *. Float.max (Float.abs a) (Float.abs b)
+
+let equal ?eps a b = fequal ?eps a.x b.x && fequal ?eps a.y b.y
 
 let to_string p = Printf.sprintf "(%.1f, %.1f)" p.x p.y

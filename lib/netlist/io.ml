@@ -8,7 +8,7 @@ let pin_ref t p =
   | Design.Port_pin port -> Printf.sprintf "port:%s" (Design.port_name t port)
 
 (* shortest decimal form that parses back to the exact same float: the
-   text format doubles as Flow.clone's deep-copy channel and as the
+   text format doubles as Session.clone's deep-copy channel and as the
    checkpoint baseline of the differential oracles, so serialization
    must not perturb a single bit *)
 let fstr x =

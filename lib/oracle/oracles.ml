@@ -11,8 +11,9 @@ module Engine = Css_core.Engine
 module Optimum = Css_core.Optimum
 module Iccss_plus = Css_baselines.Iccss_plus
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
 module Fault_seq = Css_benchgen.Fault_seq
+module Session = Css_flow.Session
+module Persist = Css_flow.Persist
 
 type engine =
   | Ours
@@ -81,7 +82,7 @@ let with_optional_pool jobs f =
   | _ -> f None
 
 let schedule ?config ?jobs engine design ~corner =
-  let design = Flow.clone design in
+  let design = Session.clone design in
   let timer = Timer.build design in
   let result, stats =
     with_optional_pool jobs (fun pool ->
@@ -207,40 +208,54 @@ let check_jobs_identity ?(jobs = [ 2; 8 ]) design ~corner =
 (* ------------------------------------------------------------------ *)
 (* Resume identity *)
 
+let run_killed ~config ?kill_after_phase ?kill_after_iteration ~algo design =
+  let config =
+    match kill_after_iteration with
+    | None -> config
+    | Some n ->
+      let sched = config.Session.scheduler in
+      let polls = ref 0 in
+      let should_stop () =
+        incr polls;
+        if !polls > n then Persist.request_interrupt ();
+        Persist.interrupted ()
+        || match sched.Scheduler.should_stop with Some f -> f () | None -> false
+      in
+      { config with Session.scheduler = { sched with Scheduler.should_stop = Some should_stop } }
+  in
+  let s = Session.open_ ~config ~algo design in
+  Fun.protect
+    ~finally:(fun () ->
+      Session.close s;
+      Persist.clear_interrupt ())
+    (fun () ->
+      Option.iter
+        (fun n ->
+          let rec go k =
+            if k < n then match Session.step s with `Phase _ -> go (k + 1) | `Done -> ()
+          in
+          go 0;
+          Persist.request_interrupt ())
+        kill_after_phase;
+      Session.finish s)
+
 (* Durable checkpoints are only correct if continuation is invisible:
    kill a flow at an arbitrary boundary, resume from disk, and the final
    state must be bitwise the one an uninterrupted run reaches. The kill
-   is injected with the flow's debug knobs, so the check is deterministic
-   and in-process (the fuzz CLI and CI drive real signals separately). *)
-let check_resume_identity ?(config = Flow.default_config) ?kill_after_phase
+   is injected by {!run_killed}, so the check is deterministic and
+   in-process (the fuzz CLI and CI drive real signals separately). *)
+let check_resume_identity ?(config = Session.default_config) ?kill_after_phase
     ?kill_after_iteration design ~algo ~dir =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let base =
-    {
-      config with
-      Flow.checkpoint_dir = None;
-      Flow.handle_signals = false;
-      Flow.debug_interrupt_after_phase = None;
-      Flow.debug_interrupt_after_iteration = None;
-    }
-  in
-  let reference_design = Flow.clone design in
-  let reference = Flow.run ~config:base ~algo reference_design in
-  let interrupted_design = Flow.clone design in
-  let interrupted =
-    Flow.run
-      ~config:
-        {
-          base with
-          Flow.checkpoint_dir = Some dir;
-          Flow.debug_interrupt_after_phase = kill_after_phase;
-          Flow.debug_interrupt_after_iteration = kill_after_iteration;
-        }
-      ~algo interrupted_design
-  in
-  ignore interrupted;
-  match Flow.resume ~config:{ base with Flow.checkpoint_dir = Some dir }
+  let base = { config with Session.checkpoint_dir = None } in
+  let reference_design = Session.clone design in
+  let reference = Session.run ~config:base ~algo reference_design in
+  ignore
+    (run_killed
+       ~config:{ base with Session.checkpoint_dir = Some dir }
+       ?kill_after_phase ?kill_after_iteration ~algo (Session.clone design));
+  match Session.resume ~config:{ base with Session.checkpoint_dir = Some dir }
           ~library:(Design.library design) ~dir ()
   with
   | Error ds ->
@@ -248,17 +263,17 @@ let check_resume_identity ?(config = Flow.default_config) ?kill_after_phase
       (match ds with d :: _ -> d.Diag.message | [] -> "(no diagnostics)");
     List.rev !failures
   | Ok (resumed, resumed_design) ->
-    if not resumed.Flow.resumed then fail "resumed result not flagged as resumed";
-    if resumed.Flow.stop_reason <> reference.Flow.stop_reason then
-      fail "stop_reason diverged: resumed %S vs uninterrupted %S" resumed.Flow.stop_reason
-        reference.Flow.stop_reason;
-    if resumed.Flow.rolled_back <> reference.Flow.rolled_back then
-      fail "rollback decision diverged: resumed %b vs uninterrupted %b" resumed.Flow.rolled_back
-        reference.Flow.rolled_back;
+    if not resumed.Session.resumed then fail "resumed result not flagged as resumed";
+    if resumed.Session.stop_reason <> reference.Session.stop_reason then
+      fail "stop_reason diverged: resumed %S vs uninterrupted %S" resumed.Session.stop_reason
+        reference.Session.stop_reason;
+    if resumed.Session.rolled_back <> reference.Session.rolled_back then
+      fail "rollback decision diverged: resumed %b vs uninterrupted %b" resumed.Session.rolled_back
+        reference.Session.rolled_back;
     failures :=
       List.rev_append
-        (report_diffs ~label:"final report, resumed vs uninterrupted" resumed.Flow.report
-           reference.Flow.report)
+        (report_diffs ~label:"final report, resumed vs uninterrupted" resumed.Session.report
+           reference.Session.report)
         !failures;
     let bits = Int64.bits_of_float in
     let ref_lat = latencies_of reference_design and res_lat = latencies_of resumed_design in
@@ -277,7 +292,6 @@ let check_resume_identity ?(config = Flow.default_config) ?kill_after_phase
 (* ------------------------------------------------------------------ *)
 (* ECO identity *)
 
-module Session = Css_flow.Session
 module Point = Css_geometry.Point
 
 (* A delta corpus that exercises every request kind the session's
@@ -323,13 +337,13 @@ let random_deltas rng design ~n =
           Session.Apply_sdc (Printf.sprintf "set_latency_bounds %s 0 260\n" ff))
 
 (* apply_delta must be an optimization, never an approximation: a warm
-   session answering a delta and a cold Flow.run on the post-delta
+   session answering a delta and a cold Session.run on the post-delta
    design must produce bit-identical schedules. The reference replays
    each batch with Session.stage on its own design (same resolve/apply
    code by construction) and re-runs the flow from scratch; anchors
    match because both designs are cloned from the same source before
    any phase moves a cell. *)
-let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas design ~algo =
+let check_eco_identity ?(config = Session.default_config) ?(jobs = [ 1 ]) ~deltas design ~algo =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let bits = Int64.bits_of_float in
@@ -352,28 +366,25 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
       let base =
         {
           config with
-          Flow.jobs = j;
+          Session.jobs = j;
           (* rollback needs the evaluator; neither changes latencies,
              and a service session answers from the live timer *)
-          Flow.final_eval = false;
-          Flow.rollback = false;
-          Flow.checkpoint_dir = None;
-          Flow.handle_signals = false;
-          Flow.debug_interrupt_after_phase = None;
-          Flow.debug_interrupt_after_iteration = None;
+          Session.final_eval = false;
+          Session.rollback = false;
+          Session.checkpoint_dir = None;
         }
       in
-      let warm_design = Flow.clone design in
-      let cold_design = Flow.clone design in
+      let warm_design = Session.clone design in
+      let cold_design = Session.clone design in
       let session = Session.open_ ~config:base ~algo warm_design in
       Fun.protect
         ~finally:(fun () -> Session.close session)
         (fun () ->
           ignore (Session.finish session);
-          ignore (Flow.run ~config:base ~algo cold_design);
+          ignore (Session.run ~config:base ~algo cold_design);
           compare_latencies ~label:(Printf.sprintf "jobs=%d initial run" j) warm_design
             cold_design;
-          let cold_timer = ref base.Flow.timer in
+          let cold_timer = ref base.Session.timer in
           List.iteri
             (fun k batch ->
               let label = Printf.sprintf "jobs=%d batch %d" j k in
@@ -384,7 +395,7 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
               | Ok outcome ->
                 ignore outcome;
                 (match
-                   Session.stage ~validate:base.Flow.validate ~repair:base.Flow.repair
+                   Session.stage ~validate:base.Session.validate ~repair:base.Session.repair
                      ~timer:!cold_timer cold_design batch
                  with
                 | Error ds ->
@@ -393,7 +404,7 @@ let check_eco_identity ?(config = Flow.default_config) ?(jobs = [ 1 ]) ~deltas d
                 | Ok sg ->
                   cold_timer := sg.Session.sg_timer;
                   ignore
-                    (Flow.run ~config:{ base with Flow.timer = !cold_timer } ~algo cold_design);
+                    (Session.run ~config:{ base with Session.timer = !cold_timer } ~algo cold_design);
                   compare_latencies ~label warm_design cold_design))
             deltas;
           Hashtbl.replace per_jobs j (latencies_of warm_design)))
@@ -426,17 +437,11 @@ let check_checkpoint_scores ?(config = Session.default_config) design ~algo =
   let diffs ds = failures := List.rev_append ds !failures in
   let bits = Int64.bits_of_float in
   let config =
-    {
-      config with
-      Session.checkpoint_dir = None;
-      Session.handle_signals = false;
-      Session.debug_interrupt_after_phase = None;
-      Session.debug_interrupt_after_iteration = None;
-    }
+    { config with Session.checkpoint_dir = None }
   in
   let eval_config = { Evaluator.default_config with Evaluator.timer = config.Session.timer } in
   let run ~probe config =
-    let d = Flow.clone design in
+    let d = Session.clone design in
     let s = Session.open_ ~config ~algo d in
     Fun.protect
       ~finally:(fun () -> Session.close s)
@@ -528,20 +533,20 @@ let pipeline ?(rounds = 1) ?deadline (corpus : Fault_seq.corpus) =
           | outcome when outcome.Validate.fatal ->
             well_formed_rejection ~stage:"validate" outcome.Validate.diags
           | _ -> (
-            let before = Evaluator.evaluate (Flow.clone design) in
+            let before = Evaluator.evaluate (Session.clone design) in
             let config =
               {
-                Flow.default_config with
-                Flow.rounds;
-                Flow.deadline_seconds = deadline;
+                Session.default_config with
+                Session.rounds;
+                Session.deadline_seconds = deadline;
               }
             in
             (* the guarded flow re-validates the (already repaired)
                design; an accepted run must end no worse than its input *)
-            match Flow.run ~config ~algo:Flow.Ours design with
+            match Session.run ~config ~algo:Session.Ours design with
             | exception Validate.Invalid ds -> well_formed_rejection ~stage:"validate" ds
             | result ->
-              let after = result.Flow.report in
+              let after = result.Session.report in
               if Float.is_nan (score before) || Float.is_nan (score after) then
                 Error
                   (Printf.sprintf "evaluator produced NaN (before %g, after %g)" (score before)

@@ -100,24 +100,41 @@ val check_feasible :
 val check_jobs_identity :
   ?jobs:int list -> Css_netlist.Design.t -> corner:Css_sta.Timer.corner -> string list
 
+(** [run_killed ~config ?kill_after_phase ?kill_after_iteration ~algo
+    design] runs a session on [design] killed deterministically and
+    in-process through the cooperative interrupt flag
+    ({!Css_flow.Persist.request_interrupt}): at a phase boundary after
+    [kill_after_phase] {!Css_flow.Session.step}s, and/or mid-phase by a
+    scheduler [should_stop] that raises the flag on the poll after
+    [kill_after_iteration] polls. The session then drains as a real
+    interrupt would (stop reason ["interrupted"] unless the run ended
+    first) and is closed; the flag is cleared so later runs in the
+    process start clean. *)
+val run_killed :
+  config:Css_flow.Session.config ->
+  ?kill_after_phase:int ->
+  ?kill_after_iteration:int ->
+  algo:Css_flow.Session.algo ->
+  Css_netlist.Design.t ->
+  Css_flow.Session.result
+
 (** [check_resume_identity ?config ?kill_after_phase
     ?kill_after_iteration design ~algo ~dir] proves continuation is
     invisible: it runs the flow uninterrupted on one clone, runs it
-    again with a deterministic debug interrupt injected after
-    [kill_after_phase] completed phases and/or [kill_after_iteration]
-    scheduler polls (persisting checkpoints under [dir]), resumes from
-    disk with {!Css_flow.Flow.resume}, and requires the resumed run's
+    again killed by {!run_killed} (persisting checkpoints under [dir]),
+    resumes from
+    disk with {!Css_flow.Session.resume}, and requires the resumed run's
     final per-flip-flop latencies, evaluator report and stop reason to
     be {e bit-identical} to the uninterrupted run's. A kill point past
     the end of the run degrades to resume-of-a-complete-run, which must
-    also be an identity. [config] must leave persistence and the debug
-    knobs unset (the check owns them). *)
+    also be an identity. The check owns [config.checkpoint_dir] and
+    clears the interrupt flag before it returns. *)
 val check_resume_identity :
-  ?config:Css_flow.Flow.config ->
+  ?config:Css_flow.Session.config ->
   ?kill_after_phase:int ->
   ?kill_after_iteration:int ->
   Css_netlist.Design.t ->
-  algo:Css_flow.Flow.algo ->
+  algo:Css_flow.Session.algo ->
   dir:string ->
   string list
 
@@ -132,21 +149,21 @@ val random_deltas :
 (** [check_eco_identity ?config ?jobs ~deltas design ~algo] proves a
     warm session is an optimization, not an approximation: it opens a
     session on one clone of [design] and runs it, replays the same
-    history cold on another clone ([Flow.run], then per delta batch
-    {!Css_flow.Session.stage} + a from-scratch [Flow.run] on the
+    history cold on another clone ([Session.run], then per delta batch
+    {!Css_flow.Session.stage} + a from-scratch [Session.run] on the
     post-delta design), and requires {e bit-identical} per-flip-flop
     latencies after the initial run and after every batch — once per
     entry of [jobs] (default [[1]]; pass [[1; 2; 8]] for the pool
     sweep), with the final warm latencies also required identical
-    across the jobs values. [config]'s rollback/persistence/debug knobs
+    across the jobs values. [config]'s rollback/persistence knobs
     are overridden (identity needs both sides on the live-timer path
     and free of budget degradation). *)
 val check_eco_identity :
-  ?config:Css_flow.Flow.config ->
+  ?config:Css_flow.Session.config ->
   ?jobs:int list ->
   deltas:Css_flow.Session.delta list list ->
   Css_netlist.Design.t ->
-  algo:Css_flow.Flow.algo ->
+  algo:Css_flow.Session.algo ->
   string list
 
 (** [check_checkpoint_scores ?config design ~algo] proves the live-timer
@@ -162,7 +179,7 @@ val check_eco_identity :
     score, and the trajectory ([result.trace]) bit-identical to a run
     with [rollback = false], which scores no checkpoints at all. A
     mismatch is a Timer incremental-update defect. [config]'s
-    persistence and debug knobs are overridden. *)
+    persistence knob is overridden. *)
 val check_checkpoint_scores :
   ?config:Css_flow.Session.config ->
   Css_netlist.Design.t ->

@@ -158,7 +158,7 @@ val snapshot : t -> snapshot
     the engine-specific state without re-running any extraction (in
     particular [Full]'s exhaustive pass and [Iccss]'s bound DP do not
     rerun). The snapshot's dense cell/port ids must come from a design
-    text round-trip of the same design ({!Css_flow.Flow.clone}
+    text round-trip of the same design ({!Css_flow.Session.clone}
     semantics), which preserves them. *)
 val restore :
   ?obs:Css_util.Obs.t ->

@@ -16,7 +16,7 @@
     responses — travels as a {e string} produced by
     {!Css_netlist.Io.float_to_string} (shortest round-trip form), so a
     client can compare a session's answer bitwise against a local
-    [Flow.run] without float re-derivation. Plain JSON numbers are also
+    [Session.run] without float re-derivation. Plain JSON numbers are also
     accepted on input for hand-written requests.
 
     {2 Requests}

@@ -26,7 +26,6 @@ type config = {
   rss_mb : int option;
   max_sessions : int;
   obs : Obs.t;
-  tracer : Tracer.t;
 }
 
 let default_config =
@@ -44,7 +43,6 @@ let default_config =
     rss_mb = None;
     max_sessions = 16;
     obs = Obs.null;
-    tracer = Tracer.null;
   }
 
 type sess = {
@@ -144,9 +142,7 @@ let session_config t ~(p : Protocol.open_params) ~dir : Session.config =
     final_eval = dfl t.cfg.final_eval p.Protocol.o_final_eval;
     rollback = dfl t.cfg.rollback p.Protocol.o_rollback;
     obs = t.cfg.obs;
-    tracer = t.cfg.tracer;
     checkpoint_dir = dir;
-    handle_signals = false;
     budget =
       {
         Budget.no_limits with
@@ -323,7 +319,8 @@ let respond t req =
   let op = op_name req in
   Histo.observe (histo t op) dt;
   Histo.observe (Obs.histogram t.cfg.obs ("service.seconds." ^ op)) dt;
-  if Tracer.enabled t.cfg.tracer then Tracer.sample t.cfg.tracer ~track:0 t.tr_request dt;
+  let tracer = Obs.tracer t.cfg.obs in
+  if Tracer.enabled tracer then Tracer.sample tracer ~track:0 t.tr_request dt;
   t.n_requests <- t.n_requests + 1;
   obs_incr t "service.requests";
   obs_incr t ("service." ^ op);
@@ -431,7 +428,7 @@ let restore_sessions t =
 
 let flush_all t =
   Hashtbl.iter (fun _ sx -> save_sess sx) t.sessions;
-  Tracer.flush t.cfg.tracer
+  Tracer.flush (Obs.tracer t.cfg.obs)
 
 let orderly_shutdown t =
   Hashtbl.iter
@@ -443,7 +440,7 @@ let orderly_shutdown t =
   t.clients <- [];
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink t.cfg.socket with Unix.Unix_error _ | Sys_error _ -> ());
-  Tracer.flush t.cfg.tracer
+  Tracer.flush (Obs.tracer t.cfg.obs)
 
 let serve ?(on_ready = fun () -> ()) cfg =
   Option.iter mkdir_p cfg.state_dir;
@@ -462,7 +459,7 @@ let serve ?(on_ready = fun () -> ()) cfg =
       in_request = Atomic.make false;
       n_requests = 0;
       n_errors = 0;
-      tr_request = Tracer.intern cfg.tracer "service.request_s";
+      tr_request = Tracer.intern (Obs.tracer cfg.obs) "service.request_s";
     }
   in
   restore_sessions t;

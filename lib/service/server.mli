@@ -15,7 +15,7 @@
     into [service.*] counters on [config.obs], feeds per-op request
     latencies into {!Css_util.Histo} histograms (exposed by [stats] as
     [request_seconds], gateable via [css_stats --gate]), and samples
-    request durations onto [config.tracer].
+    request durations onto the tracer attached to [config.obs].
 
     {2 Crash safety}
 
@@ -43,8 +43,7 @@ type config = {
   wall_seconds : float option;  (** default per-session wall budget *)
   rss_mb : int option;  (** default per-session RSS budget *)
   max_sessions : int;  (** [open] beyond this answers [SRV-002] *)
-  obs : Css_util.Obs.t;
-  tracer : Css_util.Tracer.t;
+  obs : Css_util.Obs.t;  (** also carries the tracer ({!Css_util.Obs.attach_tracer}) *)
 }
 
 val default_config : config

@@ -40,7 +40,8 @@ type t = {
   tr_rss : Tracer.name;
 }
 
-let create ?(obs = Obs.null) ?(tracer = Tracer.null) limits =
+let create ?(obs = Obs.null) limits =
+  let tracer = Obs.tracer obs in
   if not (limits.soft_frac > 0. && limits.soft_frac <= 1.) then
     invalid_arg "Budget.create: soft_frac must be in (0, 1]";
   (match limits.wall_seconds with

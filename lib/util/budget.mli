@@ -15,8 +15,8 @@
     Observability: every context bumps [budget.polls]; threshold
     crossings bump [budget.soft_trips] / [budget.hard_trips] and emit
     one ["budget"] snapshot each with the level, reason, measured use
-    and the limit (schema in [docs/OBSERVABILITY.md]). With an enabled
-    [?tracer], every poll additionally samples the ["budget.wall_s"]
+    and the limit (schema in [docs/OBSERVABILITY.md]). With a tracer
+    attached to [?obs] ({!Obs.attach_tracer}), every poll additionally samples the ["budget.wall_s"]
     and ["budget.rss_bytes"] counter lanes, rendering resource pressure
     as curves on the Perfetto timeline.
 
@@ -35,10 +35,10 @@ val no_limits : limits
 
 type t
 
-(** [create ?obs ?tracer limits] arms the budget; the clock starts now.
+(** [create ?obs limits] arms the budget; the clock starts now.
     @raise Invalid_argument on a non-positive limit or [soft_frac]
     outside (0, 1]. *)
-val create : ?obs:Obs.t -> ?tracer:Tracer.t -> limits -> t
+val create : ?obs:Obs.t -> limits -> t
 
 (** Result of one {!poll}, most urgent resource first.
 

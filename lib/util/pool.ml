@@ -86,7 +86,8 @@ let worker_loop t ~worker =
     end
   done
 
-let create ?(obs = Obs.null) ?(tracer = Tracer.null) ?jobs () =
+let create ?(obs = Obs.null) ?jobs () =
+  let tracer = Obs.tracer obs in
   let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
   let t =
     {
@@ -179,6 +180,6 @@ let shutdown t =
     List.iter Domain.join ds
   end
 
-let with_pool ?obs ?tracer ?jobs f =
-  let t = create ?obs ?tracer ?jobs () in
+let with_pool ?obs ?jobs f =
+  let t = create ?obs ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -98,7 +98,7 @@ let eco_identity_prop =
       let deltas =
         [ Oracles.random_deltas rng design ~n:2; Oracles.random_deltas rng design ~n:3 ]
       in
-      match Oracles.check_eco_identity ~deltas design ~algo:Css_flow.Flow.Ours with
+      match Oracles.check_eco_identity ~deltas design ~algo:Css_flow.Session.Ours with
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
 
@@ -144,7 +144,7 @@ let test_checkpoint_scores_held () =
       let lo, hi = Design.latency_bounds design ff in
       Design.set_scheduled_latency design ff (Float.min hi (lo +. float_of_int (1 + (i mod 7)))))
     (Design.ffs design);
-  let probe = Session.open_ ~algo:Session.Ours (Css_flow.Flow.clone design) in
+  let probe = Session.open_ ~algo:Session.Ours (Css_flow.Session.clone design) in
   let held =
     let d = Session.design probe in
     Array.exists (fun ff -> Design.scheduled_latency d ff <> 0.0) (Design.ffs d)
@@ -177,7 +177,7 @@ let test_lcb_move_delta_retimes () =
               { cell = Design.cell_name d lcb; x = pos.Point.x +. 150.0; y = pos.Point.y }
           in
           let fresh =
-            match Session.stage ~timer:Timer.default_config (Css_flow.Flow.clone d) [ move ] with
+            match Session.stage ~timer:Timer.default_config (Css_flow.Session.clone d) [ move ] with
             | Ok sg -> Timer.build sg.Session.sg_design
             | Error _ -> Alcotest.fail "LCB move rejected by stage"
           in
@@ -237,7 +237,7 @@ let fresh_dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     dir
 
-let resume_algos = [ Css_flow.Flow.Ours; Css_flow.Flow.Iccss_plus; Css_flow.Flow.Fpm ]
+let resume_algos = [ Css_flow.Session.Ours; Css_flow.Session.Iccss_plus; Css_flow.Session.Fpm ]
 
 (* the acceptance sweep: >= 3 profiles x 3 algorithms, killed at a
    completed-phase boundary, resumed from disk, final latencies bitwise
@@ -249,7 +249,7 @@ let test_resume_identity_sweep () =
         (fun algo ->
           let design = Generator.generate profile in
           let ctx =
-            Printf.sprintf "resume/%s/%s" profile.Profile.name (Css_flow.Flow.algo_name algo)
+            Printf.sprintf "resume/%s/%s" profile.Profile.name (Css_flow.Session.algo_name algo)
           in
           fail_all ctx
             (Oracles.check_resume_identity ~kill_after_phase:1 design ~algo ~dir:(fresh_dir ())))
@@ -267,7 +267,7 @@ let resume_identity_prop =
       let design = Generator.generate { Profile.tiny with Profile.seed } in
       match
         Oracles.check_resume_identity ~kill_after_iteration:(kill_at + 1) design
-          ~algo:Css_flow.Flow.Ours ~dir:(fresh_dir ())
+          ~algo:Css_flow.Session.Ours ~dir:(fresh_dir ())
       with
       | [] -> true
       | failures -> QCheck.Test.fail_report (String.concat "\n" failures))
@@ -279,12 +279,12 @@ let test_partial_write_detected () =
   let design = Generator.generate { Profile.tiny with Profile.seed = 7 } in
   let config =
     {
-      Css_flow.Flow.default_config with
-      Css_flow.Flow.checkpoint_dir = Some dir;
-      Css_flow.Flow.rounds = 1;
+      Css_flow.Session.default_config with
+      Css_flow.Session.checkpoint_dir = Some dir;
+      Css_flow.Session.rounds = 1;
     }
   in
-  ignore (Css_flow.Flow.run ~config ~algo:Css_flow.Flow.Ours design);
+  ignore (Css_flow.Session.run ~config ~algo:Css_flow.Session.Ours design);
   let file = Css_flow.Persist.path ~dir in
   let pristine = In_channel.with_open_bin file In_channel.input_all in
   (* every prefix of the file is a possible torn state after a crash

@@ -16,7 +16,7 @@ module Timer = Css_sta.Timer
 module Scheduler = Css_core.Scheduler
 module Engine = Css_core.Engine
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 
 let library = Css_liberty.Library.default
 let checkb = Alcotest.check Alcotest.bool
@@ -36,12 +36,12 @@ let downstream_graceful ctx design =
   match Validate.run design with
   | outcome when outcome.Validate.fatal -> ()
   | _ -> (
-    let before = Evaluator.evaluate (Flow.clone design) in
-    match Flow.run ~config:{ Flow.default_config with Flow.rounds = 1 } ~algo:Flow.Ours design with
+    let before = Evaluator.evaluate (Session.clone design) in
+    match Session.run ~config:{ Session.default_config with Session.rounds = 1 } ~algo:Session.Ours design with
     | r ->
-      if score r.Flow.report < score before -. 1e-6 then
+      if score r.Session.report < score before -. 1e-6 then
         Alcotest.failf "%s: accepted a schedule worse than the input (%.2f < %.2f)" ctx
-          (score r.Flow.report) (score before)
+          (score r.Session.report) (score before)
     | exception Validate.Invalid _ -> ())
   | exception e -> Alcotest.failf "%s: validation raised %s" ctx (Printexc.to_string e)
 
@@ -194,9 +194,9 @@ let test_scheduler_converges_normally () =
 
 let test_flow_deadline () =
   let design = Generator.micro () in
-  let config = { Flow.default_config with Flow.deadline_seconds = Some 0.0 } in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  Alcotest.(check string) "stop reason" "deadline" r.Flow.stop_reason
+  let config = { Session.default_config with Session.deadline_seconds = Some 0.0 } in
+  let r = Session.run ~config ~algo:Session.Ours design in
+  Alcotest.(check string) "stop reason" "deadline" r.Session.stop_reason
 
 let test_howard_rejects_nonfinite () =
   let g = Css_mmwc.Digraph.make ~n:2 [ (0, 1, 5.0); (1, 0, Float.nan) ] in
@@ -221,25 +221,25 @@ let test_flow_rollback () =
         (Design.ffs d)
   in
   let config =
-    { Flow.default_config with Flow.rounds = 1; Flow.on_phase_end = Some sabotage }
+    { Session.default_config with Session.rounds = 1; Session.on_phase_end = Some sabotage }
   in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  checkb "rolled back" true r.Flow.rolled_back;
+  let r = Session.run ~config ~algo:Session.Ours design in
+  checkb "rolled back" true r.Session.rolled_back;
   (* the reported state is the checkpoint's, and the design on disk
      agrees with it: re-evaluating reproduces the reported WNS exactly *)
   let re = Evaluator.evaluate design in
-  Alcotest.(check (float 1e-6)) "early WNS restored" r.Flow.report.Evaluator.wns_early
+  Alcotest.(check (float 1e-6)) "early WNS restored" r.Session.report.Evaluator.wns_early
     re.Evaluator.wns_early;
-  Alcotest.(check (float 1e-6)) "late WNS restored" r.Flow.report.Evaluator.wns_late
+  Alcotest.(check (float 1e-6)) "late WNS restored" r.Session.report.Evaluator.wns_late
     re.Evaluator.wns_late;
-  checkb "never worse than the input" true (score r.Flow.report >= score before -. 1e-6)
+  checkb "never worse than the input" true (score r.Session.report >= score before -. 1e-6)
 
 let test_flow_no_rollback_when_clean () =
   let design = Generator.micro () in
-  let r = Flow.run ~algo:Flow.Ours design in
-  checkb "no rollback on a normal run" false r.Flow.rolled_back;
+  let r = Session.run ~algo:Session.Ours design in
+  checkb "no rollback on a normal run" false r.Session.rolled_back;
   checkb "stop reason sane" true
-    (List.mem r.Flow.stop_reason [ "clean"; "max-rounds"; "stalled" ])
+    (List.mem r.Session.stop_reason [ "clean"; "max-rounds"; "stalled" ])
 
 (* {2 Fault coverage: every fault must actually fire}
 
@@ -445,9 +445,9 @@ let test_rollback_timer_consistency () =
 let test_flow_validation_diags_surface () =
   let design = Generator.micro () in
   Design.set_scheduled_latency design (Design.ffs design).(0) Float.nan;
-  let r = Flow.run ~algo:Flow.Ours design in
+  let r = Session.run ~algo:Session.Ours design in
   checkb "validation diagnostics surfaced" true
-    (List.exists (fun (d : Diag.t) -> d.Diag.code = "VAL-003") r.Flow.validation)
+    (List.exists (fun (d : Diag.t) -> d.Diag.code = "VAL-003") r.Session.validation)
 
 let () =
   let netlist_cases =

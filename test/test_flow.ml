@@ -3,7 +3,6 @@
 
 module Design = Css_netlist.Design
 module Evaluator = Css_eval.Evaluator
-module Flow = Css_flow.Flow
 module Session = Css_flow.Session
 module Persist = Css_flow.Persist
 module Budget = Css_util.Budget
@@ -20,53 +19,53 @@ let small_profile () = Profile.scale 0.35 (Option.get (Profile.by_name "sb18"))
 let base_design = lazy (Generator.generate (small_profile ()))
 
 let run algo =
-  let design = Flow.clone (Lazy.force base_design) in
-  Flow.run ~algo design
+  let design = Session.clone (Lazy.force base_design) in
+  Session.run ~algo design
 
-let ours = lazy (run Flow.Ours)
-let ours_early = lazy (run Flow.Ours_early)
-let iccss = lazy (run Flow.Iccss_plus)
-let fpm = lazy (run Flow.Fpm)
+let ours = lazy (run Session.Ours)
+let ours_early = lazy (run Session.Ours_early)
+let iccss = lazy (run Session.Iccss_plus)
+let fpm = lazy (run Session.Fpm)
 
 let test_clone_is_deep () =
   let d = Lazy.force base_design in
-  let c = Flow.clone d in
+  let c = Session.clone d in
   let ff = (Design.ffs c).(0) in
   Design.set_scheduled_latency c ff 99.0;
   checkb "original untouched" true (Design.scheduled_latency d (Design.ffs d).(0) = 0.0)
 
 let test_flow_improves_early () =
-  let before = Evaluator.evaluate (Flow.clone (Lazy.force base_design)) in
+  let before = Evaluator.evaluate (Session.clone (Lazy.force base_design)) in
   let r = Lazy.force ours in
-  checkb "early TNS improved" true (r.Flow.report.Evaluator.tns_early > before.Evaluator.tns_early);
-  checkb "early WNS improved" true (r.Flow.report.Evaluator.wns_early > before.Evaluator.wns_early)
+  checkb "early TNS improved" true (r.Session.report.Evaluator.tns_early > before.Evaluator.tns_early);
+  checkb "early WNS improved" true (r.Session.report.Evaluator.wns_early > before.Evaluator.wns_early)
 
 let test_flow_improves_late () =
-  let before = Evaluator.evaluate (Flow.clone (Lazy.force base_design)) in
+  let before = Evaluator.evaluate (Session.clone (Lazy.force base_design)) in
   let r = Lazy.force ours in
-  checkb "late TNS improved" true (r.Flow.report.Evaluator.tns_late > before.Evaluator.tns_late)
+  checkb "late TNS improved" true (r.Session.report.Evaluator.tns_late > before.Evaluator.tns_late)
 
 let test_flow_respects_constraints () =
-  checkb "ours constraints" true ((Lazy.force ours).Flow.report.Evaluator.constraint_errors = []);
-  checkb "iccss constraints" true ((Lazy.force iccss).Flow.report.Evaluator.constraint_errors = []);
-  checkb "fpm constraints" true ((Lazy.force fpm).Flow.report.Evaluator.constraint_errors = [])
+  checkb "ours constraints" true ((Lazy.force ours).Session.report.Evaluator.constraint_errors = []);
+  checkb "iccss constraints" true ((Lazy.force iccss).Session.report.Evaluator.constraint_errors = []);
+  checkb "fpm constraints" true ((Lazy.force fpm).Session.report.Evaluator.constraint_errors = [])
 
 let test_ours_vs_iccss_same_quality () =
   let a = Lazy.force ours and b = Lazy.force iccss in
   let close x y tol = Float.abs (x -. y) <= tol *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
   checkb "late TNS within 10%" true
-    (close a.Flow.report.Evaluator.tns_late b.Flow.report.Evaluator.tns_late 0.10);
+    (close a.Session.report.Evaluator.tns_late b.Session.report.Evaluator.tns_late 0.10);
   checkb "early TNS comparable" true
-    (close a.Flow.report.Evaluator.tns_early b.Flow.report.Evaluator.tns_early 0.25
-    || Float.abs (a.Flow.report.Evaluator.tns_early -. b.Flow.report.Evaluator.tns_early) < 25.0)
+    (close a.Session.report.Evaluator.tns_early b.Session.report.Evaluator.tns_early 0.25
+    || Float.abs (a.Session.report.Evaluator.tns_early -. b.Session.report.Evaluator.tns_early) < 25.0)
 
 let test_ours_extracts_fewer_edges_than_iccss () =
   (* compared per CSS phase on the same timer state — the flow-level
      totals only separate at benchmark scale (see bench/EXPERIMENTS) *)
-  let design1 = Flow.clone (Lazy.force base_design) in
+  let design1 = Session.clone (Lazy.force base_design) in
   let t1 = Css_sta.Timer.build design1 in
   let _, s1 = Css_core.Engine.run_ours t1 ~corner:Css_sta.Timer.Late in
-  let design2 = Flow.clone (Lazy.force base_design) in
+  let design2 = Session.clone (Lazy.force base_design) in
   let t2 = Css_sta.Timer.build design2 in
   let _, s2 = Css_baselines.Iccss_plus.run t2 ~corner:Css_sta.Timer.Late in
   checkb "fewer edges (the -90% claim, in shape)" true
@@ -76,11 +75,11 @@ let test_extracted_below_full_graph () =
   (* the heart of the paper: the iterative engine's partial graph stays
      a strict subset of the full sequential graph, and the obs counters
      agree with the engine's own statistics *)
-  let design = Flow.clone (Lazy.force base_design) in
+  let design = Session.clone (Lazy.force base_design) in
   let obs = Css_util.Obs.create () in
   let timer = Css_sta.Timer.build ~obs design in
   let _, s = Css_core.Engine.run_ours ~obs timer ~corner:Css_sta.Timer.Late in
-  let design_full = Flow.clone (Lazy.force base_design) in
+  let design_full = Session.clone (Lazy.force base_design) in
   let timer_full = Css_sta.Timer.build design_full in
   let verts = Css_seqgraph.Vertex.of_design design_full in
   let sf =
@@ -98,60 +97,60 @@ let test_extracted_below_full_graph () =
 let test_ours_early_beats_fpm () =
   let a = Lazy.force ours_early and b = Lazy.force fpm in
   checkb "early TNS at least as good" true
-    (a.Flow.report.Evaluator.tns_early >= b.Flow.report.Evaluator.tns_early -. 1e-6);
-  checkb "FPM walked more of the gate-level graph" true (b.Flow.cone_nodes > a.Flow.cone_nodes)
+    (a.Session.report.Evaluator.tns_early >= b.Session.report.Evaluator.tns_early -. 1e-6);
+  checkb "FPM walked more of the gate-level graph" true (b.Session.cone_nodes > a.Session.cone_nodes)
 
 let test_ours_early_leaves_late_untouched () =
-  let before = Evaluator.evaluate (Flow.clone (Lazy.force base_design)) in
+  let before = Evaluator.evaluate (Session.clone (Lazy.force base_design)) in
   let r = Lazy.force ours_early in
   (* early-only optimization must not significantly disturb late TNS
      (Table I: Ours-Early's late columns match the baseline's) *)
   let rel =
-    Float.abs (r.Flow.report.Evaluator.tns_late -. before.Evaluator.tns_late)
+    Float.abs (r.Session.report.Evaluator.tns_late -. before.Evaluator.tns_late)
     /. Float.max 1.0 (Float.abs before.Evaluator.tns_late)
   in
   checkb "late TNS within 5% of baseline" true (rel < 0.05)
 
 let test_trace_structure () =
   let r = Lazy.force ours in
-  checkb "trace non-empty" true (List.length r.Flow.trace > 1);
-  (match r.Flow.trace with
-  | first :: _ -> checkb "starts with the initial snapshot" true (first.Flow.phase = "start")
+  checkb "trace non-empty" true (List.length r.Session.trace > 1);
+  (match r.Session.trace with
+  | first :: _ -> checkb "starts with the initial snapshot" true (first.Session.phase = "start")
   | [] -> Alcotest.fail "empty trace");
   checkb "contains css phases" true
-    (List.exists (fun p -> p.Flow.phase = "early-css") r.Flow.trace);
+    (List.exists (fun p -> p.Session.phase = "early-css") r.Session.trace);
   checkb "contains opt phases" true
-    (List.exists (fun p -> p.Flow.phase = "early-opt") r.Flow.trace)
+    (List.exists (fun p -> p.Session.phase = "early-opt") r.Session.trace)
 
 let test_metrics_populated () =
   let r = Lazy.force ours in
-  checkb "css time measured" true (r.Flow.css_seconds >= 0.0);
+  checkb "css time measured" true (r.Session.css_seconds >= 0.0);
   checkb "total >= css + opt" true
-    (r.Flow.total_seconds +. 1e-3 >= r.Flow.css_seconds +. r.Flow.opt_seconds);
-  checkb "edges counted" true (r.Flow.extracted_edges > 0);
-  checkb "iterations counted" true (r.Flow.css_iterations > 0);
+    (r.Session.total_seconds +. 1e-3 >= r.Session.css_seconds +. r.Session.opt_seconds);
+  checkb "edges counted" true (r.Session.extracted_edges > 0);
+  checkb "iterations counted" true (r.Session.css_iterations > 0);
   checkb "hpwl increase small" true
-    (r.Flow.hpwl_increase_pct >= 0.0 && r.Flow.hpwl_increase_pct < 25.0)
+    (r.Session.hpwl_increase_pct >= 0.0 && r.Session.hpwl_increase_pct < 25.0)
 
 let test_flow_with_resize () =
-  let design = Flow.clone (Lazy.force base_design) in
-  let config = { Flow.default_config with Flow.use_resize = true } in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
+  let design = Session.clone (Lazy.force base_design) in
+  let config = { Session.default_config with Session.use_resize = true } in
+  let r = Session.run ~config ~algo:Session.Ours design in
   let plain = Lazy.force ours in
-  checkb "constraints hold with sizing" true (r.Flow.report.Evaluator.constraint_errors = []);
+  checkb "constraints hold with sizing" true (r.Session.report.Evaluator.constraint_errors = []);
   checkb "sizing does not lose quality" true
-    (r.Flow.report.Evaluator.tns_late >= plain.Flow.report.Evaluator.tns_late -. 1e-6)
+    (r.Session.report.Evaluator.tns_late >= plain.Session.report.Evaluator.tns_late -. 1e-6)
 
 let test_flow_with_cts () =
-  let design = Flow.clone (Lazy.force base_design) in
-  let config = { Flow.default_config with Flow.use_cts = true } in
-  let before = Evaluator.evaluate (Flow.clone (Lazy.force base_design)) in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  checkb "constraints hold with CTS" true (r.Flow.report.Evaluator.constraint_errors = []);
+  let design = Session.clone (Lazy.force base_design) in
+  let config = { Session.default_config with Session.use_cts = true } in
+  let before = Evaluator.evaluate (Session.clone (Lazy.force base_design)) in
+  let r = Session.run ~config ~algo:Session.Ours design in
+  checkb "constraints hold with CTS" true (r.Session.report.Evaluator.constraint_errors = []);
   checkb "CTS flow still improves late" true
-    (r.Flow.report.Evaluator.tns_late > before.Evaluator.tns_late);
+    (r.Session.report.Evaluator.tns_late > before.Evaluator.tns_late);
   checkb "CTS flow still improves early" true
-    (r.Flow.report.Evaluator.tns_early >= before.Evaluator.tns_early)
+    (r.Session.report.Evaluator.tns_early >= before.Evaluator.tns_early)
 
 (* rollback after CTS guidance: restoring a checkpoint resyncs every
    cell, including the LCBs the guidance added after the timer's graph
@@ -174,7 +173,7 @@ let test_cts_rollback_finishes () =
 let test_eval_spans () =
   let obs = Css_util.Obs.create () in
   let config = { Session.default_config with Session.obs } in
-  let s = Session.open_ ~config ~algo:Session.Ours (Flow.clone (Lazy.force base_design)) in
+  let s = Session.open_ ~config ~algo:Session.Ours (Session.clone (Lazy.force base_design)) in
   let phases = ref 0 in
   Fun.protect
     ~finally:(fun () -> Session.close s)
@@ -213,10 +212,10 @@ let fresh_dir =
 
 let test_persist_roundtrip () =
   let dir = fresh_dir () in
-  let design = Flow.clone (Lazy.force base_design) in
-  let config = { Flow.default_config with Flow.checkpoint_dir = Some dir; Flow.rounds = 1 } in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  checkb "run completed" true (r.Flow.stop_reason <> "interrupted");
+  let design = Session.clone (Lazy.force base_design) in
+  let config = { Session.default_config with Session.checkpoint_dir = Some dir; Session.rounds = 1 } in
+  let r = Session.run ~config ~algo:Session.Ours design in
+  checkb "run completed" true (r.Session.stop_reason <> "interrupted");
   match Persist.load ~dir with
   | Error ds -> Alcotest.failf "load failed: %s" (match ds with d :: _ -> d.Diag.message | [] -> "?")
   | Ok ps ->
@@ -237,8 +236,8 @@ let load_code dir =
 let test_checkpoint_corruption () =
   let dir = fresh_dir () in
   let design = Generator.micro () in
-  let config = { Flow.default_config with Flow.checkpoint_dir = Some dir; Flow.rounds = 1 } in
-  ignore (Flow.run ~config ~algo:Flow.Ours design);
+  let config = { Session.default_config with Session.checkpoint_dir = Some dir; Session.rounds = 1 } in
+  ignore (Session.run ~config ~algo:Session.Ours design);
   let file = Persist.path ~dir in
   let pristine = In_channel.with_open_bin file In_channel.input_all in
   let write s = Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s) in
@@ -298,16 +297,15 @@ let latency_bits design =
   Array.map (fun ff -> Int64.bits_of_float (Design.scheduled_latency design ff)) (Design.ffs design)
 
 let test_legacy_checkpoints_resume () =
-  let config = { Flow.default_config with Flow.rounds = 1 } in
-  let reference = Flow.clone (Lazy.force base_design) in
-  ignore (Flow.run ~config ~algo:Flow.Ours reference);
+  let config = { Session.default_config with Session.rounds = 1 } in
+  let reference = Session.clone (Lazy.force base_design) in
+  ignore (Session.run ~config ~algo:Session.Ours reference);
   let dir = fresh_dir () in
   ignore
-    (Flow.run
-       ~config:
-         { config with Flow.checkpoint_dir = Some dir; Flow.debug_interrupt_after_phase = Some 1 }
-       ~algo:Flow.Ours
-       (Flow.clone (Lazy.force base_design)));
+    (Css_oracle.Oracles.run_killed
+       ~config:{ config with Session.checkpoint_dir = Some dir }
+       ~kill_after_phase:1 ~algo:Session.Ours
+       (Session.clone (Lazy.force base_design)));
   let file = Persist.path ~dir in
   let current = In_channel.with_open_bin file In_channel.input_all in
   let write s = Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s) in
@@ -315,14 +313,14 @@ let test_legacy_checkpoints_resume () =
     (fun (label, version, cache) ->
       write (legacy_checkpoint current ~version ~cache);
       match
-        Flow.resume ~config:{ config with Flow.checkpoint_dir = Some dir }
+        Session.resume ~config:{ config with Session.checkpoint_dir = Some dir }
           ~library:(Design.library reference) ~dir ()
       with
       | Error ds ->
         Alcotest.failf "%s: resume failed: %s" label
           (match ds with d :: _ -> d.Diag.message | [] -> "?")
       | Ok (r, resumed) ->
-        checkb (label ^ ": resumed") true r.Flow.resumed;
+        checkb (label ^ ": resumed") true r.Session.resumed;
         checkb (label ^ ": bitwise equal to the uninterrupted run") true
           (latency_bits resumed = latency_bits reference))
     [ ("format 1", 1, ""); ("format 2", 2, "cache 2\n" ^ v2_entry_a ^ v2_entry_b) ];
@@ -334,79 +332,99 @@ let test_budget_ladder () =
   (* a soft-tripped wall budget (soft threshold ~0, limit far away) must
      walk the ladder one rung per phase boundary and end with a
      structured budget stop, never worse than its best checkpoint *)
-  let design = Flow.clone (Lazy.force base_design) in
-  let before = Evaluator.evaluate (Flow.clone (Lazy.force base_design)) in
+  let design = Session.clone (Lazy.force base_design) in
+  let before = Evaluator.evaluate (Session.clone (Lazy.force base_design)) in
   let config =
     {
-      Flow.default_config with
-      Flow.budget = { Budget.no_limits with Budget.wall_seconds = Some 3600.0; soft_frac = 1e-9 };
+      Session.default_config with
+      Session.budget = { Budget.no_limits with Budget.wall_seconds = Some 3600.0; soft_frac = 1e-9 };
     }
   in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  checks "stop reason" "budget-wall" r.Flow.stop_reason;
-  checkb "ladder walked" true (List.length r.Flow.degradations >= 2);
+  let r = Session.run ~config ~algo:Session.Ours design in
+  checks "stop reason" "budget-wall" r.Session.stop_reason;
+  checkb "ladder walked" true (List.length r.Session.degradations >= 2);
   checkb "ladder steps named" true
-    (List.mem "shrink-ring(wall)" r.Flow.degradations
-    && List.mem "early-stop(wall)" r.Flow.degradations);
+    (List.mem "shrink-ring(wall)" r.Session.degradations
+    && List.mem "early-stop(wall)" r.Session.degradations);
   checkb "no worse than input" true
-    (Float.min r.Flow.report.Evaluator.wns_early r.Flow.report.Evaluator.wns_late
+    (Float.min r.Session.report.Evaluator.wns_early r.Session.report.Evaluator.wns_late
     >= Float.min before.Evaluator.wns_early before.Evaluator.wns_late -. 1e-6)
 
 let test_hard_budget_stops () =
-  let design = Flow.clone (Lazy.force base_design) in
+  let design = Session.clone (Lazy.force base_design) in
   let config =
     {
-      Flow.default_config with
-      Flow.budget = { Budget.no_limits with Budget.wall_seconds = Some 1e-9 };
+      Session.default_config with
+      Session.budget = { Budget.no_limits with Budget.wall_seconds = Some 1e-9 };
     }
   in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  checks "stop reason" "budget-wall" r.Flow.stop_reason;
-  checkb "no degradation steps on a hard stop" true (r.Flow.degradations = [])
+  let r = Session.run ~config ~algo:Session.Ours design in
+  checks "stop reason" "budget-wall" r.Session.stop_reason;
+  checkb "no degradation steps on a hard stop" true (r.Session.degradations = [])
+
+(* The stall watchdog: a hook that undoes every phase (placement, clock
+   binding, scheduled latencies) keeps the worst slack flat. The first
+   phase sets the watchdog's baseline; the run then stops as "stalled"
+   after exactly 4 phases without progress, long before its rounds run
+   out. *)
+let test_stall_stops_flat_run () =
+  let design = Session.clone (Lazy.force base_design) in
+  let ffs = Design.ffs design in
+  let positions = Array.init (Design.num_cells design) (Design.cell_pos design) in
+  let lcbs = Array.map (Design.lcb_of_ff design) ffs in
+  let latencies = Array.map (Design.scheduled_latency design) ffs in
+  let phases = ref 0 in
+  let undo ~round:_ ~phase:_ d =
+    incr phases;
+    Array.iteri (Design.move_cell d) positions;
+    Array.iteri
+      (fun i ff ->
+        if Design.lcb_of_ff d ff <> lcbs.(i) then Design.reconnect_ff_to_lcb d ~ff ~lcb:lcbs.(i);
+        Design.set_scheduled_latency d ff latencies.(i))
+      ffs
+  in
+  let config = { Session.default_config with Session.rounds = 10; on_phase_end = Some undo } in
+  let r = Session.run ~config ~algo:Session.Ours_early design in
+  checks "stop reason" "stalled" r.Session.stop_reason;
+  checki "phases after the baseline one" 4 (!phases - 1)
 
 let test_interrupt_persists_and_resumes () =
   let dir = fresh_dir () in
-  let design = Flow.clone (Lazy.force base_design) in
-  let config =
-    {
-      Flow.default_config with
-      Flow.checkpoint_dir = Some dir;
-      Flow.debug_interrupt_after_phase = Some 1;
-    }
-  in
-  let r = Flow.run ~config ~algo:Flow.Ours design in
-  checks "stop reason" "interrupted" r.Flow.stop_reason;
+  let design = Session.clone (Lazy.force base_design) in
+  let config = { Session.default_config with Session.checkpoint_dir = Some dir } in
+  let r = Css_oracle.Oracles.run_killed ~config ~kill_after_phase:1 ~algo:Session.Ours design in
+  checks "stop reason" "interrupted" r.Session.stop_reason;
   match Persist.load ~dir with
   | Error _ -> Alcotest.fail "no checkpoint after interrupt"
   | Ok ps -> (
     checki "exactly one phase persisted" 1 ps.Persist.ps_phases_done;
     match
-      Flow.resume
-        ~config:{ Flow.default_config with Flow.checkpoint_dir = Some dir }
+      Session.resume
+        ~config:{ Session.default_config with Session.checkpoint_dir = Some dir }
         ~library:(Design.library design) ~dir ()
     with
     | Error ds ->
       Alcotest.failf "resume failed: %s" (match ds with d :: _ -> d.Diag.message | [] -> "?")
     | Ok (r2, _) ->
-      checkb "resumed flag" true r2.Flow.resumed;
-      checkb "resumed run finished" true (r2.Flow.stop_reason <> "interrupted");
+      checkb "resumed flag" true r2.Session.resumed;
+      checkb "resumed run finished" true (r2.Session.stop_reason <> "interrupted");
       checkb "resumed run accumulated more phases" true
-        (r2.Flow.css_iterations >= r.Flow.css_iterations))
+        (r2.Session.css_iterations >= r.Session.css_iterations))
 
 let test_resume_from_garbage_dir () =
   let dir = fresh_dir () in
-  match Flow.resume ~library:Css_liberty.Library.default ~dir () with
+  match Session.resume ~library:Css_liberty.Library.default ~dir () with
   | Ok _ -> Alcotest.fail "resume from an empty dir must fail"
   | Error (d :: _) -> checks "code" "CKPT-001" d.Diag.code
   | Error [] -> Alcotest.fail "no diagnostics"
 
 let test_flow_on_micro () =
   let design = Generator.micro () in
-  let r = Flow.run ~algo:Flow.Ours design in
+  let r = Session.run ~algo:Session.Ours design in
   let before = Evaluator.evaluate (Generator.micro ()) in
   checkb "micro early improved" true
-    (r.Flow.report.Evaluator.tns_early > before.Evaluator.tns_early);
-  checkb "micro late improved" true (r.Flow.report.Evaluator.tns_late > before.Evaluator.tns_late)
+    (r.Session.report.Evaluator.tns_early > before.Evaluator.tns_early);
+  checkb "micro late improved" true (r.Session.report.Evaluator.tns_late > before.Evaluator.tns_late)
 
 let () =
   Alcotest.run "flow"
@@ -443,5 +461,6 @@ let () =
           Alcotest.test_case "resume from garbage dir" `Quick test_resume_from_garbage_dir;
           Alcotest.test_case "format 1 and 2 checkpoints resume" `Quick
             test_legacy_checkpoints_resume;
+          Alcotest.test_case "stall stops a flat run" `Quick test_stall_stops_flat_run;
         ] );
     ]

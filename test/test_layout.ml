@@ -2,12 +2,12 @@
    (docs/PERFORMANCE.md): ids are assigned in construction order, never
    reused, written in id order by Io — so a design round-trips through
    its textual form byte-identically and every id keeps its meaning
-   across [Flow.clone] and checkpoint rollback. Plus the allocation-free
+   across [Session.clone] and checkpoint rollback. Plus the allocation-free
    guarantee of the sentinel-flavoured accessors. *)
 
 module Design = Css_netlist.Design
 module Io = Css_netlist.Io
-module Flow = Css_flow.Flow
+module Session = Css_flow.Session
 module Generator = Css_benchgen.Generator
 module Profile = Css_benchgen.Profile
 module Obs = Css_util.Obs
@@ -39,7 +39,7 @@ let test_round_trip_after_flow_byte_identical () =
   (* a flow run leaves scheduled latencies and moved cells behind; the
      mutated state must still serialize deterministically *)
   let d = gen 11 in
-  ignore (Flow.run ~algo:Flow.Ours d);
+  ignore (Session.run ~algo:Session.Ours d);
   let s1 = Io.to_string d in
   let s2 = Io.to_string (reload s1) in
   checkb "post-flow round trip byte-identical" true (String.equal s1 s2)
@@ -100,7 +100,7 @@ let clone_ids_prop =
     (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000))
     (fun seed ->
       let d = gen seed in
-      let c = Flow.clone d in
+      let c = Session.clone d in
       String.equal (structural_fingerprint d) (structural_fingerprint c)
       && Array.for_all2 ( = )
            (Array.init (Design.num_pins d) (Design.pin_net_id d))
@@ -125,8 +125,8 @@ let rollback_ids_prop =
       let obs = Obs.create () in
       let config =
         {
-          Flow.default_config with
-          Flow.rounds = 1;
+          Session.default_config with
+          Session.rounds = 1;
           rollback = true;
           obs;
           on_phase_end =
@@ -143,7 +143,7 @@ let rollback_ids_prop =
                   (Design.ffs design));
         }
       in
-      ignore (Flow.run ~config ~algo:Flow.Ours d);
+      ignore (Session.run ~config ~algo:Session.Ours d);
       let rolled_back =
         match List.assoc_opt "flow.rollbacks" (Obs.counters obs) with
         | Some n -> n > 0

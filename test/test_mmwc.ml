@@ -5,7 +5,6 @@
 module Digraph = Css_mmwc.Digraph
 module Scc = Css_mmwc.Scc
 module Karp = Css_mmwc.Karp
-module Lawler = Css_mmwc.Lawler
 module Howard = Css_mmwc.Howard
 module Rng = Css_util.Rng
 

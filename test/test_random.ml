@@ -138,16 +138,16 @@ let test_scheduler_never_beats_optimum () =
 let test_flow_constraints_each_seed () =
   for_each_seed (fun seed (design, _) ->
       let before = Css_eval.Evaluator.evaluate design in
-      let r = Css_flow.Flow.run ~algo:Css_flow.Flow.Ours design in
+      let r = Css_flow.Session.run ~algo:Css_flow.Session.Ours design in
       checkb
         (Printf.sprintf "seed %d: constraints hold" seed)
         true
-        (r.Css_flow.Flow.report.Css_eval.Evaluator.constraint_errors = []);
+        (r.Css_flow.Session.report.Css_eval.Evaluator.constraint_errors = []);
       checkb
         (Printf.sprintf "seed %d: early improved or clean" seed)
         true
-        (r.Css_flow.Flow.report.Css_eval.Evaluator.tns_early >= -1e-6
-        || r.Css_flow.Flow.report.Css_eval.Evaluator.tns_early > before.Css_eval.Evaluator.tns_early))
+        (r.Css_flow.Session.report.Css_eval.Evaluator.tns_early >= -1e-6
+        || r.Css_flow.Session.report.Css_eval.Evaluator.tns_early > before.Css_eval.Evaluator.tns_early))
 
 let test_io_roundtrip_each_seed () =
   for_each_seed (fun seed (design, _) ->

@@ -7,7 +7,6 @@
 module Design = Css_netlist.Design
 module Io = Css_netlist.Io
 module Timer = Css_sta.Timer
-module Flow = Css_flow.Flow
 module Session = Css_flow.Session
 module Protocol = Css_service.Protocol
 module Server = Css_service.Server
@@ -32,7 +31,7 @@ let tiny_design () = Generator.generate Profile.tiny
 (* The service-path configuration: report from the live timer, no
    rollback scoring — what the daemon defaults to for delta serving. *)
 let svc_config ?(rounds = 2) ?(jobs = 1) () =
-  { Flow.default_config with Flow.rounds; jobs; final_eval = false; rollback = false }
+  { Session.default_config with Session.rounds; jobs; final_eval = false; rollback = false }
 
 let exact_latencies design =
   Array.map
@@ -63,10 +62,10 @@ let fresh_dir =
 let test_session_equals_run () =
   let d0 = tiny_design () in
   let cfg = svc_config () in
-  let dflow = Flow.clone d0 in
-  let r_flow = Flow.run ~config:cfg ~algo:Flow.Ours dflow in
-  let dsess = Flow.clone d0 in
-  let s = Session.open_ ~config:cfg ~algo:Flow.Ours dsess in
+  let dflow = Session.clone d0 in
+  let r_flow = Session.run ~config:cfg ~algo:Session.Ours dflow in
+  let dsess = Session.clone d0 in
+  let s = Session.open_ ~config:cfg ~algo:Session.Ours dsess in
   let phases = ref 0 in
   let rec drain () =
     match Session.step s with
@@ -79,12 +78,12 @@ let test_session_equals_run () =
   let r_sess = Session.finish s in
   Session.close s;
   checkb "phases stepped" true (!phases >= 1);
-  checks "stop reason" r_flow.Flow.stop_reason r_sess.Session.stop_reason;
-  checki "iterations" r_flow.Flow.css_iterations r_sess.Session.css_iterations;
-  check_same_latencies "stepped session vs Flow.run" (exact_latencies dflow) (exact_latencies dsess)
+  checks "stop reason" r_flow.Session.stop_reason r_sess.Session.stop_reason;
+  checki "iterations" r_flow.Session.css_iterations r_sess.Session.css_iterations;
+  check_same_latencies "stepped session vs Session.run" (exact_latencies dflow) (exact_latencies dsess)
 
 let test_close_idempotent () =
-  let s = Session.open_ ~config:(svc_config ~rounds:1 ()) ~algo:Flow.Ours (tiny_design ()) in
+  let s = Session.open_ ~config:(svc_config ~rounds:1 ()) ~algo:Session.Ours (tiny_design ()) in
   ignore (Session.finish s);
   checkb "open after finish" false (Session.is_closed s);
   Session.close s;
@@ -100,7 +99,7 @@ let test_close_idempotent () =
 let has_code code = List.exists (fun d -> String.equal d.Diag.code code)
 
 let test_delta_errors () =
-  let s = Session.open_ ~config:(svc_config ~rounds:1 ()) ~algo:Flow.Ours (tiny_design ()) in
+  let s = Session.open_ ~config:(svc_config ~rounds:1 ()) ~algo:Session.Ours (tiny_design ()) in
   let d = Session.design s in
   let before = Io.to_string d in
   let ff = Design.cell_name d (Design.ffs d).(0) in
@@ -132,7 +131,7 @@ let test_delta_modes () =
         (String.concat "; " (List.map (fun d -> d.Diag.message) ds))
     | Ok o -> o
   in
-  let s = Session.open_ ~config:cfg ~algo:Flow.Ours (tiny_design ()) in
+  let s = Session.open_ ~config:cfg ~algo:Session.Ours (tiny_design ()) in
   ignore (Session.finish s);
   let d = Session.design s in
   let name = Design.cell_name d (Design.ffs d).(0) in
@@ -145,18 +144,22 @@ let test_delta_modes () =
   let o = apply s "replace" [ Session.Replace_design (Io.to_string (Session.design s)) ] in
   checks "netlist replacement: rebuild" "rebuild" (mode o.Session.d_mode);
   Session.close s;
-  (* a zero fallback fraction sends any multi-cell batch from scratch
-     (a single edit keeps the incremental path: frac_limit >= 1) *)
-  let s = Session.open_ ~config:{ cfg with Flow.eco_fallback_frac = 0.0 } ~algo:Flow.Ours (tiny_design ()) in
+  (* the blast-radius fallback: a batch moving more than a quarter of
+     all cells rebuilds from scratch, a two-cell batch stays warm *)
+  let s = Session.open_ ~config:cfg ~algo:Session.Ours (tiny_design ()) in
   ignore (Session.finish s);
   let d = Session.design s in
-  let move i =
-    let name = Design.cell_name d (Design.ffs d).(i) in
-    let p = Design.cell_pos d (Design.ffs d).(i) in
-    Session.Move_cell { cell = name; x = p.Point.x +. 5.0; y = p.Point.y }
+  let move c =
+    let p = Design.cell_pos d c in
+    Session.Move_cell { cell = Design.cell_name d c; x = p.Point.x +. 1.0; y = p.Point.y }
   in
-  let o = apply s "frac" [ move 0; move 1 ] in
-  checks "eco_fallback_frac 0 forces rebuild" "rebuild" (mode o.Session.d_mode);
+  let ffs = Design.ffs d in
+  let o = apply s "two cells" [ move ffs.(0); move ffs.(1) ] in
+  checks "two-cell batch is incremental" "incremental" (mode o.Session.d_mode);
+  let quarter = (Design.num_cells d / 4) + 1 in
+  let o = apply s "quarter" (List.init quarter move) in
+  checki "quarter batch touched" quarter o.Session.d_touched;
+  checks "moving over a quarter of the cells rebuilds" "rebuild" (mode o.Session.d_mode);
   Session.close s
 
 (* {2 Wire protocol} *)
@@ -244,7 +247,7 @@ let test_eco_identity_jobs () =
       Oracles.random_deltas rng design ~n:1;
     ]
   in
-  match Oracles.check_eco_identity ~jobs:[ 1; 2; 8 ] ~deltas design ~algo:Flow.Ours with
+  match Oracles.check_eco_identity ~jobs:[ 1; 2; 8 ] ~deltas design ~algo:Session.Ours with
   | [] -> ()
   | fs -> Alcotest.fail (String.concat "\n" fs)
 
@@ -257,7 +260,7 @@ let eco_identity_qcheck =
       let deltas =
         [ Oracles.random_deltas rng design ~n:2; Oracles.random_deltas rng design ~n:2 ]
       in
-      match Oracles.check_eco_identity ~deltas design ~algo:Flow.Ours with
+      match Oracles.check_eco_identity ~deltas design ~algo:Session.Ours with
       | [] -> true
       | fs -> QCheck.Test.fail_report (String.concat "\n" fs))
 
@@ -273,21 +276,13 @@ let kill_resume_qcheck =
     (fun kill_phase ->
       let d0 = tiny_design () in
       let cfg = svc_config ~rounds:2 () in
-      let dref = Flow.clone d0 in
-      let rref = Flow.run ~config:cfg ~algo:Flow.Ours dref in
+      let dref = Session.clone d0 in
+      let rref = Session.run ~config:cfg ~algo:Session.Ours dref in
       let ref_lat = exact_latencies dref in
       let dir = fresh_dir () in
-      let dvic = Flow.clone d0 in
-      let vcfg =
-        {
-          cfg with
-          Flow.checkpoint_dir = Some dir;
-          Flow.debug_interrupt_after_phase = Some kill_phase;
-        }
-      in
-      let s = Session.open_ ~config:vcfg ~algo:Flow.Ours dvic in
-      ignore (Session.finish s);
-      Session.close s;
+      let dvic = Session.clone d0 in
+      let vcfg = { cfg with Session.checkpoint_dir = Some dir } in
+      ignore (Oracles.run_killed ~config:vcfg ~kill_after_phase:kill_phase ~algo:Session.Ours dvic);
       match Session.reopen ~config:cfg ~library:(Design.library d0) ~dir () with
       | Error ds ->
         QCheck.Test.fail_reportf "reopen failed: %s"
@@ -295,9 +290,9 @@ let kill_resume_qcheck =
       | Ok s2 ->
         let r2 = Session.finish s2 in
         let lat2 = exact_latencies (Session.design s2) in
-        if r2.Session.stop_reason <> rref.Flow.stop_reason then
+        if r2.Session.stop_reason <> rref.Session.stop_reason then
           QCheck.Test.fail_reportf "stop diverged: %s vs %s" r2.Session.stop_reason
-            rref.Flow.stop_reason
+            rref.Session.stop_reason
         else if lat2 <> ref_lat then QCheck.Test.fail_report "latencies diverged after resume"
         else begin
           (* the resumed session keeps serving deltas, still bitwise *)
@@ -313,15 +308,15 @@ let kill_resume_qcheck =
             let warm = exact_latencies (Session.design s2) in
             Session.close s2;
             match
-              Session.stage ~validate:cfg.Flow.validate ~repair:cfg.Flow.repair
-                ~timer:cfg.Flow.timer dref delta
+              Session.stage ~validate:cfg.Session.validate ~repair:cfg.Session.repair
+                ~timer:cfg.Session.timer dref delta
             with
             | Error _ -> QCheck.Test.fail_report "reference stage failed"
             | Ok sg ->
               ignore
-                (Flow.run
-                   ~config:{ cfg with Flow.timer = sg.Session.sg_timer }
-                   ~algo:Flow.Ours dref);
+                (Session.run
+                   ~config:{ cfg with Session.timer = sg.Session.sg_timer }
+                   ~algo:Session.Ours dref);
               if exact_latencies dref <> warm then
                 QCheck.Test.fail_report "post-resume delta diverged from from-scratch run"
               else true)
@@ -408,16 +403,16 @@ let test_daemon_roundtrip () =
   ignore (Client.expect_ok (Client.rpc c Protocol.Ping));
   let d0 = tiny_design () in
   let text = Io.to_string d0 in
-  let local = Flow.clone d0 in
+  let local = Session.clone d0 in
   let cfg = svc_config ~rounds:2 () in
   ignore (Client.expect_ok (Client.rpc c (open_params ~session:"s1" text)));
   expect_code c (open_params ~session:"s1" text) "SRV-001";
   expect_code c (open_params ~session:"s2" ~algo:"Nope" text) "SRV-003";
   expect_code c (Protocol.Run "ghost") "SRV-004";
   expect_code c (Protocol.Snapshot "s1") "SRV-005";
-  (* the daemon's run must be bitwise the local Flow.run on the same text *)
+  (* the daemon's run must be bitwise the local Session.run on the same text *)
   ignore (Client.expect_ok (Client.rpc c (Protocol.Run "s1")));
-  ignore (Flow.run ~config:cfg ~algo:Flow.Ours local);
+  ignore (Session.run ~config:cfg ~algo:Session.Ours local);
   let remote = latencies_of_response (Client.expect_ok (Client.rpc c (Protocol.Latencies "s1"))) in
   check_same_latencies "daemon run vs local run" (exact_latencies local) remote;
   (* and so must a warm delta answer (ECO identity over the wire) *)
@@ -428,10 +423,10 @@ let test_daemon_roundtrip () =
   (match Json.member "mode" resp with
   | Some (Json.String "incremental") -> ()
   | _ -> Alcotest.fail "single-cell move should take the incremental path");
-  (match Session.stage ~validate:cfg.Flow.validate ~repair:cfg.Flow.repair ~timer:cfg.Flow.timer local delta with
+  (match Session.stage ~validate:cfg.Session.validate ~repair:cfg.Session.repair ~timer:cfg.Session.timer local delta with
   | Error _ -> Alcotest.fail "local stage failed"
   | Ok sg ->
-    ignore (Flow.run ~config:{ cfg with Flow.timer = sg.Session.sg_timer } ~algo:Flow.Ours local));
+    ignore (Session.run ~config:{ cfg with Session.timer = sg.Session.sg_timer } ~algo:Session.Ours local));
   let remote = latencies_of_response (Client.expect_ok (Client.rpc c (Protocol.Latencies "s1"))) in
   check_same_latencies "eco identity over the wire" (exact_latencies local) remote;
   let stats = Client.expect_ok (Client.rpc c Protocol.Stats) in
@@ -451,7 +446,7 @@ let test_daemon_sigkill_resume () =
   Fun.protect ~finally:(fun () -> reap !pid) @@ fun () ->
   let d0 = tiny_design () in
   let text = Io.to_string d0 in
-  let local = Flow.clone d0 in
+  let local = Session.clone d0 in
   let cfg = svc_config ~rounds:2 () in
   let c1 = Client.wait_for_socket ~timeout:30.0 socket in
   ignore (Client.expect_ok (Client.rpc c1 (open_params ~session:"eco" text)));
@@ -467,7 +462,7 @@ let test_daemon_sigkill_resume () =
   | _ -> Alcotest.fail "killed daemon lost its session");
   checks "restored session is marked resumed" "resumed" (List.assoc "eco" (stop_reasons stats));
   ignore (Client.expect_ok (Client.rpc c2 (Protocol.Run "eco")));
-  ignore (Flow.run ~config:cfg ~algo:Flow.Ours local);
+  ignore (Session.run ~config:cfg ~algo:Session.Ours local);
   let remote = latencies_of_response (Client.expect_ok (Client.rpc c2 (Protocol.Latencies "eco"))) in
   check_same_latencies "run after SIGKILL resume" (exact_latencies local) remote;
   (* SIGKILL after the run: the finished state must also come back bitwise *)
@@ -519,8 +514,8 @@ let test_open_ignores_cache_mb () =
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   ignore (Client.expect_ok (Client.rpc_json c (with_legacy_cache_mb req)));
   ignore (Client.expect_ok (Client.rpc c (Protocol.Run "legacy")));
-  let local = Flow.clone d0 in
-  ignore (Flow.run ~config:(svc_config ~rounds:2 ()) ~algo:Flow.Ours local);
+  let local = Session.clone d0 in
+  ignore (Session.run ~config:(svc_config ~rounds:2 ()) ~algo:Session.Ours local);
   let remote =
     latencies_of_response (Client.expect_ok (Client.rpc c (Protocol.Latencies "legacy")))
   in
@@ -554,8 +549,8 @@ let test_restore_ignores_meta_cache_mb () =
   let stats = Client.expect_ok (Client.rpc c2 Protocol.Stats) in
   checks "legacy meta resumes" "resumed" (List.assoc "old" (stop_reasons stats));
   ignore (Client.expect_ok (Client.rpc c2 (Protocol.Run "old")));
-  let local = Flow.clone d0 in
-  ignore (Flow.run ~config:(svc_config ~rounds:2 ()) ~algo:Flow.Ours local);
+  let local = Session.clone d0 in
+  ignore (Session.run ~config:(svc_config ~rounds:2 ()) ~algo:Session.Ours local);
   let remote =
     latencies_of_response (Client.expect_ok (Client.rpc c2 (Protocol.Latencies "old")))
   in
@@ -611,7 +606,7 @@ let test_daemon_concurrent_budgets () =
 (* {2 Warm-path speedup} *)
 
 (* The acceptance bar: on a mid-size design, a warm [apply_delta] for a
-   single cell move must beat a from-scratch [Flow.run] on the
+   single cell move must beat a from-scratch [Session.run] on the
    post-delta design by >= 5x while answering bitwise the same. The
    profile converges clean (no cycles/conflicts/port residue), so the
    warm request pays one incremental cone update where the cold run
@@ -634,13 +629,13 @@ let test_warm_delta_speedup () =
   in
   let d0 = Generator.generate profile in
   let cfg = svc_config ~rounds:3 () in
-  let warm = Flow.clone d0 in
-  let cold = Flow.clone d0 in
-  let s = Session.open_ ~config:cfg ~algo:Flow.Ours warm in
+  let warm = Session.clone d0 in
+  let cold = Session.clone d0 in
+  let s = Session.open_ ~config:cfg ~algo:Session.Ours warm in
   Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
   let r = Session.finish s in
   checks "mid-size profile converges clean" "clean" r.Session.stop_reason;
-  ignore (Flow.run ~config:cfg ~algo:Flow.Ours cold);
+  ignore (Session.run ~config:cfg ~algo:Session.Ours cold);
   let name = Design.cell_name warm (Design.ffs warm).(0) in
   let p = Design.cell_pos warm (Design.ffs warm).(0) in
   let delta = [ Session.Move_cell { cell = name; x = p.Point.x +. 2.0; y = p.Point.y } ] in
@@ -652,11 +647,11 @@ let test_warm_delta_speedup () =
   in
   let warm_s = Unix.gettimeofday () -. t0 in
   checkb "warm path is incremental" true (o.Session.d_mode = `Incremental);
-  match Session.stage ~validate:cfg.Flow.validate ~repair:cfg.Flow.repair ~timer:cfg.Flow.timer cold delta with
+  match Session.stage ~validate:cfg.Session.validate ~repair:cfg.Session.repair ~timer:cfg.Session.timer cold delta with
   | Error _ -> Alcotest.fail "reference stage failed"
   | Ok sg ->
     let t1 = Unix.gettimeofday () in
-    ignore (Flow.run ~config:{ cfg with Flow.timer = sg.Session.sg_timer } ~algo:Flow.Ours cold);
+    ignore (Session.run ~config:{ cfg with Session.timer = sg.Session.sg_timer } ~algo:Session.Ours cold);
     let cold_s = Unix.gettimeofday () -. t1 in
     check_same_latencies "speedup keeps bitwise identity" (exact_latencies cold) (exact_latencies warm);
     let ratio = cold_s /. Float.max warm_s 1e-9 in

@@ -1,11 +1,15 @@
 (* Streaming tracer tests: exact ring-buffer overflow accounting, spill
    losslessness, Chrome trace_event export validity (including
    unmatched-end suppression after a wrap), null no-ops, multi-track
-   recording from pool workers, and the allocation-free hot path. *)
+   recording from pool workers, the session's pool and budget reaching
+   the tracer through [Obs], and the allocation-free hot path. *)
 
 module Tracer = Css_util.Tracer
 module Json = Css_util.Json
+module Obs = Css_util.Obs
 module Pool = Css_util.Pool
+module Budget = Css_util.Budget
+module Session = Css_flow.Session
 
 let checkb name expected got = Alcotest.(check bool) name expected got
 let checki name expected got = Alcotest.(check int) name expected got
@@ -148,7 +152,9 @@ let test_multi_track_via_pool () =
      worker's tid with balanced begin/end *)
   let jobs = 4 in
   let t = Tracer.create ~tracks:jobs () in
-  Pool.with_pool ~tracer:t ~jobs (fun pool ->
+  let obs = Obs.create () in
+  Obs.attach_tracer obs t;
+  Pool.with_pool ~obs ~jobs (fun pool ->
       Pool.run pool ~n:64 (fun ~worker:_ i -> ignore (i * i)));
   checkb "chunks recorded" true (Tracer.recorded t > 0);
   with_tmp ".json" @@ fun out ->
@@ -168,6 +174,40 @@ let test_multi_track_via_pool () =
       | _ -> ())
     events;
   Hashtbl.iter (fun _ d -> checki "all spans closed" 0 d) depths;
+  Tracer.close t
+
+(* The one instrumentation path: a session finds the tracer on its
+   [obs] and hands it to the worker pool and the budget governor. *)
+let test_session_tracer_via_obs () =
+  let jobs = 2 in
+  let t = Tracer.create ~tracks:jobs () in
+  let obs = Obs.create () in
+  Obs.attach_tracer obs t;
+  let config =
+    {
+      Session.default_config with
+      Session.rounds = 1;
+      jobs;
+      obs;
+      budget = { Budget.no_limits with Budget.wall_seconds = Some 3600.0 };
+    }
+  in
+  ignore
+    (Session.run ~config ~algo:Session.Ours
+       (Css_benchgen.Generator.generate Css_benchgen.Profile.tiny));
+  with_tmp ".json" @@ fun out ->
+  Tracer.write_chrome_json t out;
+  let j = Json.of_string (read_file out) in
+  let events = match Json.member "traceEvents" j with Some (Json.List l) -> l | _ -> [] in
+  let count name ph =
+    List.length
+      (List.filter
+         (fun e ->
+           Json.member "name" e = Some (Json.String name) && Json.member "ph" e = Some (Json.String ph))
+         events)
+  in
+  checkb "pool.chunk spans recorded" true (count "pool.chunk" "B" > 0);
+  checkb "budget.wall_s samples recorded" true (count "budget.wall_s" "C" > 0);
   Tracer.close t
 
 (* --- null tracer --- *)
@@ -253,5 +293,6 @@ let () =
           Alcotest.test_case "null no-ops" `Quick test_null_noops;
           Alcotest.test_case "hot path allocation-free" `Quick
             test_hot_path_allocation_free;
+          Alcotest.test_case "session tracer via obs" `Quick test_session_tracer_via_obs;
         ] );
     ]
